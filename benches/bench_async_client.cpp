@@ -1,16 +1,15 @@
-// Async SPI client study (DESIGN.md §16): what retiring the blocking
-// thread-per-exchange client path buys, measured over real TCP loopback
-// (the async runtime needs non-blocking connect, which SimTransport does
-// not model). Three cells:
+// Async SPI client study (DESIGN.md §16): what one shared reactor runtime
+// buys over a thread per caller, measured over real TCP loopback. Three
+// cells:
 //
 //  * open-loop capacity — ONE submitting thread pushes 10,000 packed
 //    calls into execute_packed_async without waiting; the reactor loop
-//    thread carries every outstanding exchange. The blocking client
-//    would need one parked OS thread per outstanding call.
+//    thread carries every outstanding exchange. Blocking callers would
+//    need one parked OS thread per outstanding call.
 //  * closed-loop tail — 64 concurrent packed streams, async (one loop
-//    thread, 64 logical streams) vs blocking (64 threads): p99 of the
-//    async path must stay within 2x of blocking — the capacity win may
-//    not cost the tail.
+//    thread, 64 logical streams) vs blocking (64 caller threads, each
+//    client on its private runtime): p99 of the shared runtime must stay
+//    within 2x of blocking — the capacity win may not cost the tail.
 //  * hedged tail — a backend whose handler stalls on a small fraction of
 //    calls (the "one slow server moment" tail). Hedging at p95 fires a
 //    second idempotent attempt once the primary outlives the learned
@@ -169,8 +168,8 @@ struct TailResult {
   std::uint64_t errors = 0;
 };
 
-/// 64 blocking streams: the thread-per-exchange baseline, one OS thread
-/// and one client (its own pooled connection) per stream.
+/// 64 blocking streams: the thread-per-caller baseline, one OS thread and
+/// one client (its private runtime and keep-alive connection) per stream.
 TailResult run_blocking_closed_loop(Deployment& deployment, size_t streams,
                                     size_t messages) {
   LatencyHistogram latency;

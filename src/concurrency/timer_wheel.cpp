@@ -114,67 +114,4 @@ std::optional<Duration> TimerWheel::until_next(TimePoint now) const {
   return due_at > now ? due_at - now : Duration::zero();
 }
 
-// --- TimerService ------------------------------------------------------
-
-TimerService::TimerService(std::string name, Duration tick, size_t slots)
-    : name_(std::move(name)), wheel_(tick, slots) {
-  thread_ = std::jthread([this] { run(); });
-}
-
-TimerService::~TimerService() { stop(); }
-
-TimerWheel::TimerId TimerService::schedule(Duration delay,
-                                           TimerWheel::Callback callback) {
-  TimerWheel::TimerId id;
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_) return TimerWheel::kInvalidTimer;
-    id = wheel_.schedule(std::chrono::steady_clock::now(), delay,
-                         std::move(callback));
-  }
-  wake_.notify_one();
-  return id;
-}
-
-bool TimerService::cancel(TimerWheel::TimerId id) {
-  std::lock_guard lock(mutex_);
-  return wheel_.cancel(id);
-}
-
-size_t TimerService::size() const {
-  std::lock_guard lock(mutex_);
-  return wheel_.size();
-}
-
-void TimerService::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void TimerService::run() {
-  std::unique_lock lock(mutex_);
-  while (!stopping_) {
-    const TimePoint now = std::chrono::steady_clock::now();
-    // Fire outside the lock: callbacks take per-connection locks whose
-    // holders may be calling schedule()/cancel() right now.
-    std::vector<TimerWheel::Callback> due = wheel_.collect_due(now);
-    if (!due.empty()) {
-      lock.unlock();
-      for (TimerWheel::Callback& callback : due) callback();
-      lock.lock();
-      continue;
-    }
-    if (auto next = wheel_.until_next(now)) {
-      wake_.wait_for(lock, *next);
-    } else {
-      wake_.wait(lock);
-    }
-  }
-}
-
 }  // namespace spi

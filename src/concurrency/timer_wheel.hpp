@@ -11,19 +11,14 @@
 // the same bucket for a later revolution in place (the classic hashed
 // wheel; there is no cascade copy).
 //
-// TimerWheel itself is single-threaded — the Reactor drives one from its
-// loop thread. TimerService (below) wraps a wheel with a thread + mutex
-// for the blocking connection driver.
+// TimerWheel is single-threaded — the Reactor drives one from its loop
+// thread.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -60,8 +55,7 @@ class TimerWheel {
   size_t advance(TimePoint now);
 
   /// Removes every timer due at `now` without firing, returning their
-  /// callbacks — lets a caller (TimerService) drop its lock before
-  /// running them.
+  /// callbacks — lets a caller drop its locks before running them.
   std::vector<Callback> collect_due(TimePoint now);
 
   /// Time until the earliest pending timer could fire, or nullopt when
@@ -100,43 +94,6 @@ class TimerWheel {
   /// full wheel scan, which matters at c10k timer populations.
   std::map<std::uint64_t, size_t> due_counts_;
   TimerId next_id_ = 1;
-};
-
-/// A timer wheel driven by its own thread: the timeout substrate for the
-/// blocking (thread-per-connection) driver, where no event loop exists to
-/// advance a wheel. Callbacks run on the service thread; they must be
-/// quick and must tolerate racing a concurrent cancel (a callback may
-/// still fire after cancel() returns if it was already collected — guard
-/// with your own generation check or closed flag).
-class TimerService {
- public:
-  explicit TimerService(std::string name = "timer",
-                        Duration tick = std::chrono::milliseconds(5),
-                        size_t slots = 512);
-  ~TimerService();
-
-  TimerService(const TimerService&) = delete;
-  TimerService& operator=(const TimerService&) = delete;
-
-  TimerWheel::TimerId schedule(Duration delay, TimerWheel::Callback callback);
-  bool cancel(TimerWheel::TimerId id);
-
-  /// Pending timers (wheel depth).
-  size_t size() const;
-
-  /// Stops the service thread; pending timers never fire. Idempotent,
-  /// called by the destructor.
-  void stop();
-
- private:
-  void run();
-
-  std::string name_;
-  mutable std::mutex mutex_;
-  std::condition_variable wake_;
-  TimerWheel wheel_;
-  bool stopping_ = false;
-  std::jthread thread_;
 };
 
 }  // namespace spi

@@ -113,32 +113,26 @@ void AutoBatcher::send_batch(std::vector<PendingCall> batch,
     calls.push_back(entry.call);
   }
 
-  if (client_.async_enabled()) {
-    // The reactor drives the exchange; this flusher thread goes straight
-    // back to forming the next batch instead of being tied up for one
-    // round trip per batch. Completion (promise fulfilment) runs on the
-    // loop thread; flush()/shutdown() rendezvous via outstanding_async_.
-    auto shipped = std::make_shared<std::vector<PendingCall>>(std::move(batch));
-    {
-      std::lock_guard lock(mutex_);
-      ++outstanding_async_;
-    }
-    client_.execute_packed_async(
-        std::move(calls), PackMode::kAuto,
-        [this, shipped, timer_triggered](SpiClient::PackedResult result) {
-          complete_batch(*shipped, timer_triggered, std::move(result));
-          {
-            std::lock_guard lock(mutex_);
-            --outstanding_async_;
-          }
-          flush_done_.notify_all();
-        });
-    return;
+  // The reactor drives the exchange; this flusher thread goes straight
+  // back to forming the next batch instead of being tied up for one round
+  // trip per batch. Completion (promise fulfilment) runs on the loop
+  // thread; flush()/shutdown() rendezvous via outstanding_async_.
+  auto shipped = std::make_shared<std::vector<PendingCall>>(std::move(batch));
+  {
+    std::lock_guard lock(mutex_);
+    ++outstanding_async_;
   }
-
   // kAuto: a lone call still travels as a cheap traditional message.
-  complete_batch(batch, timer_triggered,
-                 client_.execute_packed(calls, PackMode::kAuto));
+  client_.execute_packed_async(
+      std::move(calls), PackMode::kAuto,
+      [this, shipped, timer_triggered](SpiClient::PackedResult result) {
+        complete_batch(*shipped, timer_triggered, std::move(result));
+        // Notify while holding the lock: once it is released, shutdown()
+        // may return and the batcher (flush_done_ with it) be destroyed.
+        std::lock_guard lock(mutex_);
+        --outstanding_async_;
+        flush_done_.notify_all();
+      });
 }
 
 void AutoBatcher::flusher_loop() {

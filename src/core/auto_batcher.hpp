@@ -75,11 +75,10 @@ class AutoBatcher {
   };
 
   void flusher_loop();
-  /// Takes the current batch out under the lock; sends it unlocked. With
-  /// an async-enabled client the batch rides execute_packed_async — the
-  /// flusher thread is free to form the NEXT batch while this one is on
-  /// the wire, instead of blocking for the round trip; completion lands
-  /// on the reactor loop thread.
+  /// Ships one batch on execute_packed_async — the flusher thread is free
+  /// to form the NEXT batch while this one is on the wire, instead of
+  /// blocking for the round trip; completion lands on the client
+  /// runtime's loop thread.
   void send_batch(std::vector<PendingCall> batch, bool timer_triggered);
   /// Fulfils one shipped batch's promises (values, per-call faults, or a
   /// message-level error replicated into every slot) and counts it.

@@ -1,6 +1,6 @@
 #include "core/client.hpp"
 
-#include <thread>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "telemetry/trace.hpp"
@@ -8,14 +8,6 @@
 namespace spi::core {
 
 namespace {
-
-http::ClientOptions make_http_options(const ClientOptions& options) {
-  http::ClientOptions http_options;
-  http_options.keep_alive = options.keep_alive;
-  http_options.limits = options.http_limits;
-  http_options.receive_timeout = options.receive_timeout;
-  return http_options;
-}
 
 std::vector<CallOutcome> replicate_error(const Error& error, size_t n) {
   std::vector<CallOutcome> outcomes;
@@ -38,17 +30,47 @@ SpiClient::SpiClient(net::Transport& transport, net::Endpoint server,
       assembler_(wsse_factory_.get(), options_.pack_cost),
       dispatcher_(nullptr, options_.pack_cost),
       retry_policy_(options_.retry),
-      hedge_policy_(options_.hedge),
-      http_(transport_, server_, make_http_options(options_)) {}
+      hedge_policy_(options_.hedge) {}
 
 SpiClient::~SpiClient() {
   // Async leg callbacks reference this client; wait until every in-flight
-  // exchange has completed (the async runtime's reactor must be running,
-  // or its destruction must have failed them, before we are destroyed).
+  // exchange has completed (the runtime's reactor must be running, or its
+  // destruction must have failed them, before we are destroyed). The
+  // private runtime, if any, is torn down after this wait.
   std::unique_lock lock(async_mutex_);
   async_cv_.wait(lock, [this] {
     return async_inflight_.load(std::memory_order_acquire) == 0;
   });
+}
+
+http::AsyncHttpClient& SpiClient::runtime() {
+  if (options_.async_client) return *options_.async_client;
+  // Started lazily: a client that never exchanges costs no thread, and
+  // construction stays as cheap as the connection-less client it is.
+  std::call_once(runtime_once_, [this] {
+    Reactor::Options reactor_options;
+    reactor_options.name = "spi-client";
+    private_reactor_ = std::make_unique<Reactor>(reactor_options);
+    private_reactor_->start();
+    http::AsyncClientOptions http_options;
+    // call_multithreaded is M exchanges on M connections: never queue
+    // them behind a connection cap.
+    http_options.max_connections_per_endpoint =
+        std::numeric_limits<size_t>::max();
+    http_options.limits = options_.http_limits;
+    private_http_ = std::make_unique<http::AsyncHttpClient>(
+        *private_reactor_, transport_, http_options);
+  });
+  return *private_http_;
+}
+
+http::Request SpiClient::new_request() const {
+  http::Request request;
+  request.target = options_.target;
+  request.headers.set("SOAPAction", "\"\"");
+  request.headers.set("Content-Type", "text/xml");
+  if (!options_.keep_alive) request.headers.set("Connection", "close");
+  return request;
 }
 
 const codec::CodecRegistry& SpiClient::codec_registry() const {
@@ -112,205 +134,8 @@ Result<wire::ParsedResponse> SpiClient::parse_wire_response(
   return parsed;
 }
 
-Result<std::vector<CallOutcome>> SpiClient::attempt_exchange(
-    std::span<const ServiceCall> calls, PackMode mode,
-    http::HttpClient& http, const resilience::Deadline& deadline,
-    Duration& retry_after) {
-  retry_after = Duration::zero();
-  TimePoint now = RealClock::instance().now();
-  if (deadline.expired(now)) {
-    return Error(ErrorCode::kDeadlineExceeded,
-                 "client deadline expired before send");
-  }
-
-  resilience::CircuitBreaker* breaker =
-      options_.breakers ? &options_.breakers->for_endpoint(server_) : nullptr;
-  if (breaker) {
-    if (Status allowed = breaker->allow(); !allowed.ok()) {
-      breaker_fast_fails_.fetch_add(1, std::memory_order_relaxed);
-      return allowed.error();
-    }
-  }
-
-  // This attempt may block at most min(configured receive timeout,
-  // remaining deadline budget) on the response read.
-  http.set_receive_timeout(min_timeout(options_.receive_timeout,
-                                       deadline.remaining_or_unbounded(now)));
-
-  // One trace per message: every packed sibling shares the trace-id the
-  // Assembler injects from this scope; the server echoes it back. An
-  // ambient trace (a proxy forwarding someone else's request, a handler
-  // calling downstream) is continued as a child — same trace-id, fresh
-  // parent-id — so one origin request stays one trace across hops. (The
-  // deadline header rides along from the ambient DeadlineScope.)
-  telemetry::TraceContext trace;
-  if (options_.trace_propagation) {
-    const telemetry::TraceContext* ambient = telemetry::current_trace();
-    trace = (ambient && ambient->valid()) ? ambient->child()
-                                          : telemetry::TraceContext::generate();
-  }
-  telemetry::TraceScope trace_scope(trace);
-
-  http::Headers headers;
-  headers.set("SOAPAction", "\"\"");
-  std::string body;
-  {
-    // The assemble charge is captured and replayed at the ENCODED size:
-    // the modeled stack copies wire bytes through its handlers, and with a
-    // codec in play the wire carries the compressed form.
-    PackCostDeferral deferral;
-    std::string envelope = assembler_.assemble_request(calls, mode);
-    auto encoded = encode_request(std::move(envelope), headers);
-    if (!encoded.ok()) return encoded.wrap_error("spi exchange");
-    body = std::move(encoded).value();
-    deferral.replay(body.size());
-  }
-  auto response =
-      http.post(options_.target, std::move(body), "text/xml", &headers);
-  if (!response.ok()) {
-    // The breaker tracks transport-level health: a failed post means the
-    // endpoint did not answer this connection.
-    if (breaker) breaker->on_failure();
-    return response.wrap_error("spi exchange");
-  }
-  if (breaker) breaker->on_success();
-
-  // A shedding server attaches Retry-After (decimal seconds) to its 503;
-  // remember it so the retry loops never replay sooner than asked.
-  if (auto hint = response.value().headers.get("Retry-After")) {
-    if (auto floor = resilience::parse_retry_after(*hint)) {
-      retry_after = *floor;
-    }
-  }
-
-  // Parse the envelope regardless of HTTP status: SOAP faults ride on 500
-  // (HTTP binding) and packed per-call faults on 200.
-  auto parsed = parse_wire_response(response.value());
-  if (!parsed.ok()) {
-    if (response.value().status != 200) {
-      return Error(ErrorCode::kProtocolError,
-                   "HTTP " + std::to_string(response.value().status) + ": " +
-                       parsed.error().message());
-    }
-    return parsed.error();
-  }
-  return dispatcher_.route(std::move(parsed).value(), calls.size());
-}
-
-bool SpiClient::sleep_backoff(int retry_number,
-                              const resilience::Deadline& deadline,
-                              Duration floor) {
-  Duration pause = retry_policy_.backoff(retry_number, floor);
-  if (deadline.valid() &&
-      deadline.remaining(RealClock::instance().now()) <= pause) {
-    return false;  // budget cannot cover the sleep, let alone the retry
-  }
-  RealClock::instance().sleep_for(pause);
-  return true;
-}
-
-Result<std::vector<CallOutcome>> SpiClient::exchange(
-    std::span<const ServiceCall> calls, PackMode mode,
-    http::HttpClient& http, Duration* observed_retry_after) {
-  Duration max_retry_after = Duration::zero();
-  auto note_retry_after = [&max_retry_after](Duration hint) {
-    if (hint > max_retry_after) max_retry_after = hint;
-  };
-  // The exchange deadline: an ambient DeadlineScope (nested call, caller
-  // with its own budget) wins; otherwise call_timeout starts one here.
-  resilience::Deadline deadline;
-  if (const resilience::Deadline* ambient = resilience::current_deadline();
-      ambient && ambient->valid()) {
-    deadline = *ambient;
-  } else if (!is_unbounded(options_.call_timeout)) {
-    deadline = resilience::Deadline::after(options_.call_timeout);
-  }
-  resilience::DeadlineScope deadline_scope(deadline);
-
-  retry_policy_.on_call();
-
-  const auto& idempotent = retry_policy_.options().idempotent;
-  auto all_idempotent = [&idempotent](std::span<const ServiceCall> subset) {
-    if (!idempotent) return false;
-    for (const ServiceCall& call : subset) {
-      if (!idempotent(call.service, call.operation)) return false;
-    }
-    return true;
-  };
-
-  // --- message-level attempts --------------------------------------------
-  // A message-level failure (connect refused, sever, timeout) replays the
-  // WHOLE batch, so the idempotency gate covers every member.
-  int attempts = 1;
-  Duration retry_after = Duration::zero();
-  auto result = attempt_exchange(calls, mode, http, deadline, retry_after);
-  note_retry_after(retry_after);
-  while (!result.ok() &&
-         retry_policy_.should_retry(result.error(), attempts,
-                                    all_idempotent(calls)) &&
-         sleep_backoff(attempts, deadline, retry_after)) {
-    ++attempts;
-    result = attempt_exchange(calls, mode, http, deadline, retry_after);
-    note_retry_after(retry_after);
-  }
-  if (observed_retry_after) *observed_retry_after = max_retry_after;
-  if (!result.ok()) return result;
-
-  // --- partial-batch re-pack ---------------------------------------------
-  // The server answered, but some sub-calls carry retryable faults (shed
-  // on deadline/admission before execution). Re-pack ONLY those calls —
-  // succeeded siblings are never replayed — and merge the replay outcomes
-  // back into their original slots.
-  std::vector<CallOutcome>& outcomes = result.value();
-  const PackMode replay_mode =
-      mode == PackMode::kSingle ? PackMode::kSingle : PackMode::kPacked;
-  std::optional<Error> replay_error;  // message-level failure of a replay
-  while (true) {
-    std::vector<size_t> failed;
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].ok() &&
-          resilience::classify(outcomes[i].error()) !=
-              resilience::FaultClass::kTerminal) {
-        failed.push_back(i);
-      }
-    }
-    if (failed.empty()) break;
-
-    std::vector<ServiceCall> subset;
-    subset.reserve(failed.size());
-    for (size_t i : failed) subset.push_back(calls[i]);
-
-    const Error& gate =
-        replay_error ? *replay_error : outcomes[failed.front()].error();
-    if (!retry_policy_.should_retry(gate, attempts, all_idempotent(subset)) ||
-        !sleep_backoff(attempts, deadline, retry_after)) {
-      break;
-    }
-    ++attempts;
-    partial_repacks_.fetch_add(1, std::memory_order_relaxed);
-
-    auto replay =
-        attempt_exchange(subset, replay_mode, http, deadline, retry_after);
-    note_retry_after(retry_after);
-    if (observed_retry_after) *observed_retry_after = max_retry_after;
-    if (!replay.ok()) {
-      // Keep the original per-call faults; the next round gates on this
-      // replay error (e.g. a terminal breaker rejection stops the loop).
-      replay_error = replay.error();
-      continue;
-    }
-    replay_error.reset();
-    for (size_t k = 0; k < failed.size(); ++k) {
-      outcomes[failed[k]] = std::move(replay.value()[k]);
-    }
-  }
-  return result;
-}
-
 CallOutcome SpiClient::call(const ServiceCall& service_call) {
-  std::lock_guard lock(http_mutex_);
-  auto outcomes = exchange(std::span(&service_call, 1), PackMode::kSingle,
-                           http_);
+  auto outcomes = execute_packed(std::span(&service_call, 1), PackMode::kSingle);
   if (!outcomes.ok()) return outcomes.error();
   return std::move(outcomes.value().front());
 }
@@ -325,10 +150,25 @@ std::vector<CallOutcome> SpiClient::call_serial(
     std::span<const ServiceCall> calls) {
   std::vector<CallOutcome> outcomes;
   outcomes.reserve(calls.size());
-  std::lock_guard lock(http_mutex_);
   for (const ServiceCall& service_call : calls) {
-    auto result = exchange(std::span(&service_call, 1), PackMode::kSingle,
-                           http_);
+    outcomes.push_back(call(service_call));
+  }
+  return outcomes;
+}
+
+std::vector<CallOutcome> SpiClient::call_multithreaded(
+    std::span<const ServiceCall> calls) {
+  // All M exchanges are in flight before the first wait, each on its own
+  // connection, like the paper's M client threads each opening a socket.
+  std::vector<std::future<PackedResult>> pending;
+  pending.reserve(calls.size());
+  for (const ServiceCall& service_call : calls) {
+    pending.push_back(execute_packed_future({service_call}, PackMode::kSingle));
+  }
+  std::vector<CallOutcome> outcomes;
+  outcomes.reserve(calls.size());
+  for (auto& future : pending) {
+    PackedResult result = future.get();
     if (result.ok()) {
       outcomes.push_back(std::move(result.value().front()));
     } else {
@@ -338,62 +178,13 @@ std::vector<CallOutcome> SpiClient::call_serial(
   return outcomes;
 }
 
-std::vector<CallOutcome> SpiClient::call_multithreaded(
-    std::span<const ServiceCall> calls) {
-  const size_t n = calls.size();
-  std::vector<std::optional<CallOutcome>> slots(n);
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      threads.emplace_back([this, &calls, &slots, i] {
-        // Each thread gets its own connection, like the paper's M client
-        // threads each opening a socket to the service.
-        http::HttpClient http(transport_, server_,
-                              make_http_options(options_));
-        auto result = exchange(std::span(&calls[i], 1), PackMode::kSingle,
-                               http);
-        if (result.ok()) {
-          slots[i] = std::move(result.value().front());
-        } else {
-          slots[i] = CallOutcome(result.error());
-        }
-      });
-    }
-  }  // jthreads join here
-  std::vector<CallOutcome> outcomes;
-  outcomes.reserve(n);
-  for (auto& slot : slots) {
-    outcomes.push_back(std::move(slot).value_or(
-        CallOutcome(Error(ErrorCode::kInternal, "worker produced no result"))));
-  }
-  return outcomes;
-}
-
 Result<std::vector<CallOutcome>> SpiClient::execute_packed(
     std::span<const ServiceCall> calls, PackMode mode) {
-  if (calls.empty()) {
-    return Error(ErrorCode::kInvalidArgument, "empty call batch");
-  }
-  if (options_.async_client) {
-    // Thin wrapper: the reactor drives the exchange; this thread only
-    // waits on the completion future (never call from the loop thread).
-    return execute_packed_future(
-               std::vector<ServiceCall>(calls.begin(), calls.end()), mode)
-        .get();
-  }
-  // A packed transfer is one message on one fresh connection.
-  http::HttpClient http(transport_, server_, make_http_options(options_));
-  return exchange(calls, mode, http);
-}
-
-Result<std::vector<CallOutcome>> SpiClient::execute_packed_on(
-    http::HttpClient& http, std::span<const ServiceCall> calls, PackMode mode,
-    Duration* retry_after) {
-  if (calls.empty()) {
-    return Error(ErrorCode::kInvalidArgument, "empty call batch");
-  }
-  return exchange(calls, mode, http, retry_after);
+  // The reactor drives the exchange; this thread only waits on the
+  // completion future (never call from the runtime's loop thread).
+  return execute_packed_future(
+             std::vector<ServiceCall>(calls.begin(), calls.end()), mode)
+      .get();
 }
 
 Result<std::vector<CallOutcome>> SpiClient::execute_plan(
@@ -411,20 +202,19 @@ Result<std::vector<CallOutcome>> SpiClient::execute_plan(
   }
   telemetry::TraceScope trace_scope(trace);
 
-  http::HttpClient http(transport_, server_, make_http_options(options_));
-  http::Headers headers;
-  headers.set("SOAPAction", "\"\"");
-  std::string body;
+  http::Request request = new_request();
   {
     PackCostDeferral deferral;
     std::string envelope = assembler_.assemble_plan(plan);
-    auto encoded = encode_request(std::move(envelope), headers);
+    auto encoded = encode_request(std::move(envelope), request.headers);
     if (!encoded.ok()) return encoded.wrap_error("spi plan");
-    body = std::move(encoded).value();
-    deferral.replay(body.size());
+    request.body = std::move(encoded).value();
+    deferral.replay(request.body.size());
   }
   auto response =
-      http.post(options_.target, std::move(body), "text/xml", &headers);
+      runtime()
+          .send_future(server_, std::move(request), options_.receive_timeout)
+          .get();
   if (!response.ok()) return response.wrap_error("spi plan");
 
   auto parsed = parse_wire_response(response.value());

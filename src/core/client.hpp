@@ -9,6 +9,12 @@
 // form of the pack interface: add() returns a future per call, execute()
 // sends one packed message, and the client-side Dispatcher completes each
 // future from the matching CallResponse.
+//
+// One runtime (DESIGN.md §16): every exchange — blocking or not — runs as
+// the execute_packed_async() state machine on a reactor-driven
+// AsyncHttpClient. The blocking calls are thin waits on it. A client built
+// without ClientOptions::async_client starts a private Reactor +
+// AsyncHttpClient on its first exchange.
 #pragma once
 
 #include <condition_variable>
@@ -22,7 +28,6 @@
 #include "core/assembler.hpp"
 #include "core/dispatcher.hpp"
 #include "http/async_client.hpp"
-#include "http/client.hpp"
 #include "resilience/circuit_breaker.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/hedge.hpp"
@@ -33,7 +38,8 @@ namespace spi::core {
 struct ClientOptions {
   /// Reuse one TCP connection for sequential messages. The paper's
   /// baselines opened a connection per message (Axis 1.3 default), so
-  /// false is the faithful default; the keep-alive ablation flips it.
+  /// false is the faithful default: every request carries
+  /// "Connection: close". The keep-alive ablation flips it.
   bool keep_alive = false;
 
   /// Attach WS-Security UsernameToken headers to every request.
@@ -47,16 +53,17 @@ struct ClientOptions {
   /// Disabled by default; the figure benchmarks set the testbed value.
   PackCostModel pack_cost;
 
-  /// Bound on each response read (kNoTimeout = forever); surfaces as
-  /// kTimeout. Composes with the deadline budget via min_timeout().
+  /// Bound on each attempt — queue wait, connect, write and response —
+  /// (kNoTimeout = forever); surfaces as kTimeout. Composes with the
+  /// deadline budget via min_timeout().
   Duration receive_timeout = kNoTimeout;
 
   /// Overall budget for one exchange — ALL attempts plus the backoff
   /// sleeps between them (kNoTimeout = none). Installed as an absolute
   /// resilience::Deadline, shipped on the wire as <spi:Deadline> so the
   /// server can shed expired work, and used to clamp each attempt's
-  /// receive timeout. An ambient DeadlineScope on the calling thread
-  /// takes precedence (nested exchanges inherit the caller's budget).
+  /// timeout. An ambient DeadlineScope on the calling thread takes
+  /// precedence (nested exchanges inherit the caller's budget).
   Duration call_timeout = kNoTimeout;
 
   /// Message-level retry policy (resilience/retry.hpp). The default
@@ -95,14 +102,14 @@ struct ClientOptions {
   /// owned). Null selects codec::CodecRegistry::builtin().
   const codec::CodecRegistry* codecs = nullptr;
 
-  /// Reactor-driven async runtime (borrowed; DESIGN.md §16). When set,
-  /// execute_packed_async() is available, and the blocking
-  /// execute_packed() becomes a thin wrapper over it — one reactor loop
-  /// thread drives every outstanding exchange instead of one blocked
-  /// thread each. The runtime's reactor must be running for exchanges to
-  /// progress, and must keep running until this client is destroyed or
-  /// all exchanges have completed. Never call the blocking wrappers from
-  /// the reactor loop thread (they would wait on themselves).
+  /// Shared reactor-driven runtime (borrowed; DESIGN.md §16): one reactor
+  /// loop thread drives every outstanding exchange of every client that
+  /// shares it. Its reactor must be running for exchanges to progress,
+  /// and must keep running until this client is destroyed or all
+  /// exchanges have completed. Null (the default) gives the client a
+  /// private runtime, started on its first exchange, with no per-endpoint
+  /// connection cap. Never call the blocking wrappers from the runtime's
+  /// loop thread (they would wait on themselves).
   http::AsyncHttpClient* async_client = nullptr;
 
   /// Hedged requests on the async path (resilience/hedge.hpp): fire a
@@ -157,7 +164,8 @@ class SpiClient {
   std::vector<CallOutcome> call_serial(std::span<const ServiceCall> calls);
 
   /// "Multiple Threads": M traditional messages issued concurrently, one
-  /// client thread and one connection per call.
+  /// connection per call — M exchanges in flight at once on the runtime
+  /// (the paper's M client threads, without parking M threads).
   std::vector<CallOutcome> call_multithreaded(
       std::span<const ServiceCall> calls);
 
@@ -170,8 +178,7 @@ class SpiClient {
                                        PackMode mode = PackMode::kPacked);
 
   /// Lower-level packed transfer that surfaces message-level failure as a
-  /// single error (used by tests and Batch). With an async runtime
-  /// configured this is a thin blocking wrapper over
+  /// single error (used by tests and Batch): a blocking wait on
   /// execute_packed_async().
   Result<std::vector<CallOutcome>> execute_packed(
       std::span<const ServiceCall> calls, PackMode mode = PackMode::kPacked);
@@ -181,19 +188,17 @@ class SpiClient {
   using PackedResult = Result<std::vector<CallOutcome>>;
   using PackedCallback = std::function<void(PackedResult)>;
   /// Extended completion: also delivers the LARGEST Retry-After hint any
-  /// attempt observed (zero when none) — the async twin of
-  /// execute_packed_on's retry_after out-param (the proxy relays the max
-  /// across backends to the origin client on all-shed).
+  /// attempt observed (zero when none) — the proxy relays the max across
+  /// backends to the origin client on all-shed.
   using PackedCallbackEx =
       std::function<void(PackedResult, Duration observed_retry_after)>;
 
-  /// Packed transfer on the configured async runtime: the full resilience
+  /// Packed transfer on the client's runtime: the full resilience
   /// pipeline — deadline capture, breaker gating, retries with wheel-timer
   /// backoff, partial-batch re-pack, hedging — runs as a state machine on
   /// the reactor loop thread; no caller thread blocks. The ambient
   /// deadline/trace are captured NOW, on the calling thread. `done` fires
-  /// exactly once, on the loop thread; it must not block. Requires
-  /// options.async_client (completes with kInvalidArgument otherwise).
+  /// exactly once, on the loop thread; it must not block.
   void execute_packed_async(std::vector<ServiceCall> calls, PackMode mode,
                             PackedCallback done);
   void execute_packed_async(std::vector<ServiceCall> calls, PackMode mode,
@@ -203,24 +208,11 @@ class SpiClient {
   std::future<PackedResult> execute_packed_future(
       std::vector<ServiceCall> calls, PackMode mode = PackMode::kPacked);
 
-  /// True when an async runtime is configured.
-  bool async_enabled() const { return options_.async_client != nullptr; }
-
-  /// Same transfer over a caller-supplied HTTP connection: the packing
-  /// proxy keeps per-backend keep-alive pools and hands a pooled client
-  /// in, so scatter legs reuse warm connections instead of dialing per
-  /// message. When `retry_after` is non-null it receives the LARGEST
-  /// Retry-After hint any attempt observed (zero when none) — the proxy
-  /// surfaces the max across backends to the origin client on all-shed.
-  Result<std::vector<CallOutcome>> execute_packed_on(
-      http::HttpClient& http, std::span<const ServiceCall> calls,
-      PackMode mode = PackMode::kPacked, Duration* retry_after = nullptr);
-
   // --- remote execution (the SPI suite's second interface) -----------------
 
   /// Ships a dependent-call plan in ONE message; the server executes the
   /// chain (later steps consuming earlier results) and returns one outcome
-  /// per step. See core/remote_plan.hpp.
+  /// per step — one attempt, no retry ladder. See core/remote_plan.hpp.
   Result<std::vector<CallOutcome>> execute_plan(const RemotePlan& plan);
 
   // --- batch/future interface ----------------------------------------------
@@ -275,32 +267,13 @@ class SpiClient {
   /// reactor loop thread from start() to completion.
   struct AsyncExchange;
 
-  /// Resilient HTTP exchange: deadline installation, breaker gating,
-  /// message-level retry with jittered backoff, and partial-batch re-pack
-  /// of failed retryable sub-calls. Delegates single attempts to
-  /// attempt_exchange().
-  /// `observed_retry_after`, when non-null, receives the maximum
-  /// Retry-After hint seen across every attempt of the exchange.
-  Result<std::vector<CallOutcome>> exchange(
-      std::span<const ServiceCall> calls, PackMode mode,
-      http::HttpClient& http, Duration* observed_retry_after = nullptr);
+  /// The runtime every exchange rides: options_.async_client, or the
+  /// private one, started here on first use.
+  http::AsyncHttpClient& runtime();
 
-  /// One HTTP exchange attempt: assembled envelope out, parsed outcomes
-  /// back. Gated by the endpoint breaker; receive timeout clamped to the
-  /// remaining deadline budget. `retry_after` reports the server's
-  /// Retry-After hint from this attempt's response (zero when absent):
-  /// a 503 shed's backoff floor for the next replay.
-  Result<std::vector<CallOutcome>> attempt_exchange(
-      std::span<const ServiceCall> calls, PackMode mode,
-      http::HttpClient& http, const resilience::Deadline& deadline,
-      Duration& retry_after);
-
-  /// Sleeps the jittered backoff before retry `retry_number`, never less
-  /// than `floor` (the server's Retry-After hint). False when the
-  /// remaining deadline budget cannot cover the sleep (retry would be
-  /// pointless: the answer could not arrive in time).
-  bool sleep_backoff(int retry_number, const resilience::Deadline& deadline,
-                     Duration floor);
+  /// A POST to options_.target with the SOAP headers; "Connection: close"
+  /// unless keep_alive.
+  http::Request new_request() const;
 
   const codec::CodecRegistry& codec_registry() const;
 
@@ -337,10 +310,11 @@ class SpiClient {
   std::mutex async_mutex_;
   std::condition_variable async_cv_;
 
-  /// Connection used by call()/call_serial (guarded: SpiClient may be
-  /// shared across threads; call_multithreaded uses per-thread clients).
-  std::mutex http_mutex_;
-  http::HttpClient http_;
+  /// The private runtime (null until first use, and when async_client is
+  /// set). The client is destroyed before the reactor it runs on.
+  std::once_flag runtime_once_;
+  std::unique_ptr<Reactor> private_reactor_;
+  std::unique_ptr<http::AsyncHttpClient> private_http_;
 };
 
 }  // namespace spi::core

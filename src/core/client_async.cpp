@@ -1,10 +1,10 @@
-// SpiClient's async packed exchange (DESIGN.md §16): the full resilience
-// pipeline of the blocking exchange() — deadline budget, breaker gating,
-// message-level retries with jittered backoff, partial-batch re-pack —
-// re-expressed as a state machine driven entirely by the reactor loop
-// thread, plus the one capability the blocking path cannot have: hedged
-// requests. No caller thread blocks; backoff sleeps are wheel timers;
-// the hedge trigger is a wheel timer racing the primary leg.
+// SpiClient's packed exchange (DESIGN.md §16) — the only one; the blocking
+// calls wait on it. The full resilience pipeline — deadline budget,
+// breaker gating, message-level retries with jittered backoff,
+// partial-batch re-pack, hedged requests — is a state machine driven
+// entirely by the reactor loop thread. No caller thread blocks; backoff
+// pauses are wheel timers; the hedge trigger is a wheel timer racing the
+// primary leg.
 //
 // One AsyncExchange = one execute_packed_async() call. Its life is a
 // sequence of ROUNDS. Each round ships one HTTP attempt (the subset of
@@ -37,13 +37,12 @@ struct SpiClient::AsyncExchange
   PackMode mode;
   PackedCallbackEx done;
 
-  // Captured on the CALLER thread at submit time, exactly like the
-  // blocking path captures them on entry to exchange().
+  // Captured on the CALLER thread at submit time.
   resilience::Deadline deadline;
   telemetry::TraceContext ambient_trace;  // invalid => start a fresh trace
 
   Phase phase = Phase::kMessage;
-  int attempts = 1;  // attempts made so far (1-based, like exchange())
+  int attempts = 1;  // attempts made so far (1-based)
   std::vector<CallOutcome> outcomes;          // filled by the first success
   std::optional<Error> replay_error;          // message-level replay failure
   Duration max_retry_after = Duration::zero();
@@ -140,14 +139,11 @@ struct SpiClient::AsyncExchange
       }
     }
 
-    // Assemble under the captured deadline/trace, exactly as the blocking
-    // attempt does on its own thread: the Assembler serializes
-    // <spi:Deadline> from the ambient scope and <spi:Trace> from the
-    // ambient trace, and the pack-cost charge is replayed at wire size.
-    http::Request request;
-    request.target = client->options_.target;
-    request.headers.set("SOAPAction", "\"\"");
-    request.headers.set("Content-Type", "text/xml");
+    // Assemble under the captured deadline/trace: the Assembler
+    // serializes <spi:Deadline> from the ambient scope and <spi:Trace>
+    // from the ambient trace, and the pack-cost charge is replayed at
+    // wire size.
+    http::Request request = client->new_request();
     {
       resilience::DeadlineScope deadline_scope(deadline);
       telemetry::TraceContext trace;
@@ -170,8 +166,8 @@ struct SpiClient::AsyncExchange
       deferral.replay(request.body.size());
     }
 
-    // One wheel timer bounds the whole attempt: the blocking path's
-    // receive timeout clamped by the remaining deadline budget.
+    // One wheel timer bounds the whole attempt: the configured receive
+    // timeout clamped by the remaining deadline budget.
     round_timeout = min_timeout(client->options_.receive_timeout,
                                 deadline.remaining_or_unbounded(now));
     round_request = std::move(request);
@@ -324,7 +320,7 @@ struct SpiClient::AsyncExchange
   }
 
   // The server answered; decide whether failed retryable sub-calls earn
-  // another (partial) round, mirroring exchange()'s re-pack loop.
+  // another (partial) round. Succeeded siblings are never replayed.
   void evaluate_repack() {
     std::vector<size_t> failed;
     for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -390,8 +386,7 @@ struct SpiClient::AsyncExchange
     complete(std::move(error));
   }
 
-  // The async form of sleep_backoff(): a wheel timer instead of a
-  // blocked thread.
+  // The backoff pause: a wheel timer, never a blocked thread.
   void schedule_round(Duration pause) {
     auto self = shared_from_this();
     if (pause <= Duration::zero()) {
@@ -411,11 +406,10 @@ struct SpiClient::AsyncExchange
     completed = true;
     done(std::move(result), max_retry_after);
     // Decrement AFTER the callback: ~SpiClient waits for zero so no
-    // callback ever touches a dead client.
-    {
-      std::lock_guard lock(client->async_mutex_);
-      client->async_inflight_.fetch_sub(1, std::memory_order_release);
-    }
+    // callback ever touches a dead client. Notify while holding the lock:
+    // once it is released the destructor may return and free async_cv_.
+    std::lock_guard lock(client->async_mutex_);
+    client->async_inflight_.fetch_sub(1, std::memory_order_release);
     client->async_cv_.notify_all();
   }
 };
@@ -435,23 +429,15 @@ void SpiClient::execute_packed_async(std::vector<ServiceCall> calls,
          Duration::zero());
     return;
   }
-  if (!options_.async_client) {
-    done(Error(ErrorCode::kInvalidArgument,
-               "no async runtime configured (ClientOptions::async_client)"),
-         Duration::zero());
-    return;
-  }
-
   auto ex = std::make_shared<AsyncExchange>();
   ex->client = this;
-  ex->http = options_.async_client;
+  ex->http = &runtime();
   ex->calls = std::move(calls);
   ex->mode = mode;
   ex->done = std::move(done);
 
   // Ambient deadline/trace belong to the CALLING thread; capture them
-  // here, before control moves to the loop. The blocking path does the
-  // same on entry to exchange().
+  // here, before control moves to the loop.
   if (const resilience::Deadline* ambient = resilience::current_deadline();
       ambient && ambient->valid()) {
     ex->deadline = *ambient;
@@ -465,7 +451,7 @@ void SpiClient::execute_packed_async(std::vector<ServiceCall> calls,
 
   retry_policy_.on_call();
   async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  options_.async_client->reactor().post([ex] { ex->start(); });
+  ex->http->reactor().post([ex] { ex->start(); });
 }
 
 std::future<SpiClient::PackedResult> SpiClient::execute_packed_future(

@@ -37,15 +37,15 @@
 namespace spi::core {
 
 struct ServerOptions {
-  /// Protocol stage width (HTTP connections served concurrently).
+  /// Protocol stage width (HTTP handler executions in flight).
   size_t protocol_threads = 8;
 
   /// Application stage width (concurrent operation executions).
   size_t application_threads = 8;
 
-  /// Reactor event loops driving fd-backed connections in the protocol
-  /// stage (DESIGN.md §12). 0 forces the blocking thread-per-connection
-  /// driver; simulated transports always use the blocking driver.
+  /// Reactor event loops driving the protocol stage's connections
+  /// (DESIGN.md §12), on every transport. At least 1: start() rejects 0
+  /// with kInvalidArgument.
   size_t reactor_threads = 1;
 
   /// One SO_REUSEPORT listener per reactor loop where the transport
@@ -88,8 +88,8 @@ struct ServerOptions {
   /// Shared metrics registry to record into (unowned; must outlive the
   /// server). Null: the server creates and owns its own. Either way the
   /// registry is what GET /metrics exposes and metrics() returns, so
-  /// other components (a client-side ConnectionPool, an AutoBatcher) can
-  /// bind into the same scrape.
+  /// other components (an SpiClient, an AutoBatcher) can bind into the
+  /// same scrape.
   telemetry::MetricsRegistry* metrics = nullptr;
 
   http::ParserLimits http_limits;

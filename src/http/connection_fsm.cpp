@@ -62,7 +62,10 @@ void ConnectionFsm::process(TimePoint now) {
     }
     if (request) {
       if (config_.read_latency && read_start_) {
-        auto elapsed = now - *read_start_;
+        // A fresh clock read, not the event time: a request that arrived
+        // in one read has both ends stamped with the same event time, and
+        // its span is the framing parse itself.
+        auto elapsed = std::chrono::steady_clock::now() - *read_start_;
         config_.read_latency->record_us(
             std::chrono::duration<double, std::micro>(elapsed).count());
       }
@@ -91,8 +94,7 @@ void ConnectionFsm::process(TimePoint now) {
         }
       } else if (!is_unbounded(config_.idle_timeout)) {
         // No read deadline: fall back to the idle timeout as a progress
-        // timeout, refreshed per delivery (the blocking driver's old
-        // per-receive behaviour).
+        // timeout, refreshed per delivery.
         host_.arm_timer(TimerKind::kIdle, config_.idle_timeout);
         timer_kind_ = TimerKind::kIdle;
       }

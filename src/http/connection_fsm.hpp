@@ -1,9 +1,6 @@
-// Per-connection HTTP/1.1 state machine, shared by both connection
-// drivers (DESIGN.md §12):
-//   * the reactor driver feeds it readiness-event slices on the loop
-//     thread (no locks — single-threaded by construction)
-//   * the blocking driver feeds it from a per-connection protocol thread
-//     under a small mutex it shares with the timer service
+// Per-connection HTTP/1.1 state machine (DESIGN.md §12). The reactor
+// driver feeds it readiness-event slices on the loop thread (no locks —
+// single-threaded by construction).
 //
 // The FSM owns the incremental MessageParser and every protocol decision
 // (when to 400/408, when a request dispatches, when keep-alive ends, which

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <limits>
-#include <optional>
 
 #include "common/logging.hpp"
 
@@ -324,209 +323,6 @@ class HttpServer::ReactorConn final
   bool finished_ = false;
 };
 
-// --- BlockingConn -------------------------------------------------------
-// One blocking-driver connection: a pooled protocol thread parks in
-// receive() while timeouts live on the server's shared TimerService wheel.
-// The FSM runs under mutex_ (serve thread + timer thread); effects it
-// requests are recorded and executed *outside* the lock by run_effects(),
-// so a blocking send or handler never stalls the timer thread, and a
-// timer callback never deadlocks against a concurrent FSM call.
-class HttpServer::BlockingConn final
-    : public ConnectionFsm::Host,
-      public std::enable_shared_from_this<HttpServer::BlockingConn> {
- public:
-  BlockingConn(HttpServer& server,
-               std::unique_ptr<net::Connection> connection)
-      : server_(server),
-        connection_(std::move(connection)),
-        fsm_(*this, server.fsm_config(), server.fsm_counters(),
-             server.accepting_) {}
-
-  net::Connection* connection() { return connection_.get(); }
-
-  /// Runs on a protocol-pool thread until the connection closes.
-  void serve() {
-    serve_thread_id_ = std::this_thread::get_id();
-    // Timeouts come from the wheel now; receive() parks unbounded and is
-    // woken by abort() when a timer closes the connection.
-    (void)connection_->set_receive_timeout(kNoTimeout);
-    {
-      std::lock_guard lock(mutex_);
-      fsm_.on_open(now());
-    }
-    run_effects();
-    while (true) {
-      {
-        std::lock_guard lock(mutex_);
-        if (done_ || fsm_.closed()) break;
-      }
-      auto bytes = connection_->receive(kReadChunk);
-      if (!bytes.ok()) {
-        const ErrorCode code = bytes.error().code();
-        {
-          std::lock_guard lock(mutex_);
-          if (!done_ && !fsm_.closed()) {
-            if (code != ErrorCode::kConnectionClosed) {
-              SPI_LOG(kDebug, "http.server")
-                  << "receive failed: " << bytes.error().to_string();
-            }
-            if (code == ErrorCode::kConnectionClosed) {
-              fsm_.on_peer_closed();
-            } else {
-              fsm_.on_receive_error();
-            }
-          }
-        }
-        run_effects();
-        break;
-      }
-      {
-        std::lock_guard lock(mutex_);
-        fsm_.on_bytes(bytes.value(), now());
-      }
-      run_effects();
-    }
-    run_effects();
-    std::lock_guard lock(mutex_);
-    cancel_timer();
-  }
-
-  // --- ConnectionFsm::Host (called with mutex_ held; effects deferred) --
-
-  void send_bytes(std::vector<std::string> segments,
-                  bool close_after) override {
-    // The blocking driver writes with one blocking send() per response;
-    // coalescing here is the documented non-vectored fallback.
-    std::string bytes;
-    size_t total = 0;
-    for (const std::string& segment : segments) total += segment.size();
-    bytes.reserve(total);
-    for (const std::string& segment : segments) bytes += segment;
-    pending_sends_.push_back(PendingSend{std::move(bytes), close_after});
-  }
-
-  void dispatch(Request request) override {
-    pending_request_ = std::move(request);
-  }
-
-  void arm_timer(ConnectionFsm::TimerKind /*kind*/, Duration delay) override {
-    const std::uint64_t generation = ++timer_generation_;
-    if (timer_ != TimerWheel::kInvalidTimer) {
-      server_.timer_service_->cancel(timer_);
-    }
-    auto self = shared_from_this();
-    timer_ = server_.timer_service_->schedule(
-        delay, [self, generation] { self->on_timer_fire(generation); });
-  }
-
-  void cancel_timer() override {
-    ++timer_generation_;
-    if (timer_ != TimerWheel::kInvalidTimer) {
-      server_.timer_service_->cancel(timer_);
-      timer_ = TimerWheel::kInvalidTimer;
-    }
-  }
-
-  void close_connection() override { close_requested_ = true; }
-
- private:
-  struct PendingSend {
-    std::string bytes;
-    bool close_after = false;
-  };
-
-  /// Timer-service thread. The generation check absorbs the documented
-  /// TimerService race: a callback can still fire after cancel() when it
-  /// was already collected.
-  void on_timer_fire(std::uint64_t generation) {
-    {
-      std::lock_guard lock(mutex_);
-      if (generation != timer_generation_ || done_ || fsm_.closed()) return;
-      timer_ = TimerWheel::kInvalidTimer;
-      fsm_.on_timer(now());
-    }
-    run_effects();
-  }
-
-  /// Executes FSM-requested effects without holding mutex_. Exclusive by
-  /// construction (effects_running_): whichever thread enters first loops
-  /// until the queue is dry, so bytes never interleave on the wire and
-  /// the per-connection effect order is preserved.
-  void run_effects() {
-    {
-      std::lock_guard lock(mutex_);
-      if (effects_running_) return;
-      effects_running_ = true;
-    }
-    while (true) {
-      std::vector<PendingSend> sends;
-      std::optional<Request> request;
-      bool do_close = false;
-      {
-        std::lock_guard lock(mutex_);
-        if (pending_sends_.empty() && !pending_request_ &&
-            !close_requested_) {
-          effects_running_ = false;
-          return;
-        }
-        sends.swap(pending_sends_);
-        request.swap(pending_request_);
-        do_close = close_requested_;
-        close_requested_ = false;
-      }
-      for (PendingSend& send : sends) {
-        if (Status sent = connection_->send(send.bytes); !sent.ok()) {
-          std::lock_guard lock(mutex_);
-          if (!fsm_.closed()) fsm_.on_receive_error();
-          break;
-        }
-        std::lock_guard lock(mutex_);
-        fsm_.on_send_complete(now());
-      }
-      if (request) {
-        Response response;
-        bool failed = false;
-        try {
-          response = server_.handler_(*request);
-        } catch (const std::exception& e) {
-          SPI_LOG(kError, "http.server") << "handler threw: " << e.what();
-          response = Response::make(500, "Internal Server Error", e.what());
-          failed = true;
-        }
-        std::lock_guard lock(mutex_);
-        fsm_.on_response(std::move(response), failed, now());
-      }
-      if (do_close) {
-        connection_->close();
-        {
-          std::lock_guard lock(mutex_);
-          done_ = true;
-        }
-        // A timer-thread close must also wake the serve thread parked in
-        // receive(); on the serve thread itself the loop exits via done_.
-        if (std::this_thread::get_id() != serve_thread_id_) {
-          connection_->abort();
-        }
-      }
-    }
-  }
-
-  HttpServer& server_;
-  std::unique_ptr<net::Connection> connection_;
-  std::mutex mutex_;
-  ConnectionFsm fsm_;
-  std::thread::id serve_thread_id_;
-
-  // All below guarded by mutex_ except where noted.
-  TimerWheel::TimerId timer_ = TimerWheel::kInvalidTimer;
-  std::uint64_t timer_generation_ = 0;
-  std::vector<PendingSend> pending_sends_;
-  std::optional<Request> pending_request_;
-  bool close_requested_ = false;
-  bool effects_running_ = false;
-  bool done_ = false;
-};
-
 // --- HttpServer ---------------------------------------------------------
 
 HttpServer::HttpServer(net::Transport& transport, net::Endpoint at,
@@ -566,6 +362,10 @@ ConnectionFsm::Counters HttpServer::fsm_counters() {
 }
 
 Status HttpServer::start() {
+  if (options_.reactor_threads == 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "http server needs reactor_threads >= 1");
+  }
   if (running_.exchange(true)) {
     return Error(ErrorCode::kAlreadyExists, "server already started");
   }
@@ -589,117 +389,91 @@ Status HttpServer::start() {
   }
   listeners_.push_back(std::move(listener).value());
   endpoint_ = listeners_[0]->endpoint();
-  reactor_mode_ =
-      options_.reactor_threads > 0 && listeners_[0]->native_handle() >= 0;
   connection_pool_ = std::make_unique<ThreadPool>(
       options_.protocol_threads, "http-protocol");
   accepting_.store(true, std::memory_order_release);
-  if (reactor_mode_) {
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    for (size_t i = 0; i < options_.reactor_threads; ++i) {
-      Reactor::Options reactor_options;
-      reactor_options.name = "http-reactor-" + std::to_string(i);
-      if (options_.pin_reactor_threads) {
-        reactor_options.cpu_affinity = static_cast<int>(i % cores);
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t i = 0; i < options_.reactor_threads; ++i) {
+    Reactor::Options reactor_options;
+    reactor_options.name = "http-reactor-" + std::to_string(i);
+    if (options_.pin_reactor_threads) {
+      reactor_options.cpu_affinity = static_cast<int>(i % cores);
+    }
+    reactors_.push_back(std::make_unique<Reactor>(reactor_options));
+    reactors_.back()->start();
+  }
+  // Sharded: grow the reuseport group to one listener per loop. The
+  // endpoint is the resolved one, so port-0 binds shard correctly. All or
+  // nothing — a partial group would leave some loops accept-less, so any
+  // failure reverts to the single-listener round-robin fallback.
+  if (want_sharding) {
+    for (size_t i = 1; i < options_.reactor_threads; ++i) {
+      auto sibling = transport_.listen(
+          endpoint_, net::ListenOptions{.reuse_port = true});
+      if (!sibling.ok()) {
+        SPI_LOG(kWarn, "http.server")
+            << "reuseport listener " << i
+            << " failed: " << sibling.error().to_string()
+            << " — falling back to single-listener accept";
+        break;
       }
-      reactors_.push_back(std::make_unique<Reactor>(reactor_options));
-      reactors_.back()->start();
+      listeners_.push_back(std::move(sibling).value());
     }
-    // Sharded: grow the reuseport group to one listener per loop. The
-    // endpoint is the resolved one, so port-0 binds shard correctly. All
-    // or nothing — a partial group would leave some loops accept-less, so
-    // any failure reverts to the single-listener round-robin fallback.
-    if (want_sharding && reactor_mode_) {
-      for (size_t i = 1; i < options_.reactor_threads; ++i) {
-        auto sibling = transport_.listen(
-            endpoint_, net::ListenOptions{.reuse_port = true});
-        if (!sibling.ok()) {
-          SPI_LOG(kWarn, "http.server")
-              << "reuseport listener " << i
-              << " failed: " << sibling.error().to_string()
-              << " — falling back to single-listener accept";
-          break;
-        }
-        listeners_.push_back(std::move(sibling).value());
-      }
-      accept_sharded_ = listeners_.size() == options_.reactor_threads;
-      if (!accept_sharded_) listeners_.resize(1);
-    }
-    // Each listener lives on its own loop; every accept lands on the loop
-    // that will drive the connection — no cross-loop handoff. The
-    // single-listener fallback keeps the round-robin handoff from loop 0.
-    listener_tokens_.resize(listeners_.size(), 0);
-    for (size_t i = 0; i < listeners_.size(); ++i) {
-      (void)listeners_[i]->set_nonblocking(true);
-      listener_tokens_[i] = reactors_[i % reactors_.size()]->add_fd(
-          listeners_[i]->native_handle(), net::Readiness::kRead,
-          [this, i](std::uint32_t) { on_acceptable(i); });
-    }
-  } else {
-    timer_service_ = std::make_unique<TimerService>("http-timer");
-    acceptor_ = std::jthread([this] { accept_loop(); });
+    accept_sharded_ = listeners_.size() == options_.reactor_threads;
+    if (!accept_sharded_) listeners_.resize(1);
+  }
+  // Each listener lives on its own loop; every accept lands on the loop
+  // that will drive the connection — no cross-loop handoff. The
+  // single-listener fallback keeps the round-robin handoff from loop 0.
+  listener_tokens_.resize(listeners_.size(), 0);
+  for (size_t i = 0; i < listeners_.size(); ++i) {
+    (void)listeners_[i]->set_nonblocking(true);
+    listener_tokens_[i] = reactors_[i % reactors_.size()]->add_fd(
+        listeners_[i]->native_handle(), net::Readiness::kRead,
+        [this, i](std::uint32_t) { on_acceptable(i); });
   }
   SPI_LOG(kInfo, "http.server")
       << "serving on " << endpoint_.to_string() << " ("
-      << (reactor_mode_
-              ? (accept_sharded_ ? "reactor driver, sharded accept"
-                                 : "reactor driver")
-              : "blocking driver")
-      << ", " << listeners_.size() << " listener(s))";
+      << (accept_sharded_ ? "sharded accept, " : "") << reactors_.size()
+      << " loop(s), " << listeners_.size() << " listener(s))";
   return Status();
 }
 
 void HttpServer::stop_accepting() {
   if (!running_.load(std::memory_order_acquire)) return;
   if (!accepting_.exchange(false)) return;
-  // Exactly one caller reaches this point, so the acceptor join (blocking
-  // driver) happens once no matter how stop_accepting()/stop() interleave.
-  if (reactor_mode_) {
-    for (size_t i = 0; i < listener_tokens_.size(); ++i) {
-      if (listener_tokens_[i] != 0) {
-        reactors_[i % reactors_.size()]->remove_fd(listener_tokens_[i]);
-        listener_tokens_[i] = 0;
-      }
+  // Exactly one caller reaches this point, so the listeners are
+  // deregistered once no matter how stop_accepting()/stop() interleave.
+  for (size_t i = 0; i < listener_tokens_.size(); ++i) {
+    if (listener_tokens_[i] != 0) {
+      reactors_[i % reactors_.size()]->remove_fd(listener_tokens_[i]);
+      listener_tokens_[i] = 0;
     }
-    for (auto& listener : listeners_) listener->close();
-  } else {
-    for (auto& listener : listeners_) listener->close();
-    if (acceptor_.joinable()) acceptor_.join();
   }
+  for (auto& listener : listeners_) listener->close();
 }
 
 void HttpServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stop_accepting();
   if (!running_.exchange(false)) return;
-  if (reactor_mode_) {
-    std::vector<std::shared_ptr<ReactorConn>> connections;
-    {
-      std::lock_guard lock(reactor_conns_mutex_);
-      connections.reserve(reactor_conns_.size());
-      for (auto& [pointer, shared] : reactor_conns_) {
-        connections.push_back(shared);
-      }
+  std::vector<std::shared_ptr<ReactorConn>> connections;
+  {
+    std::lock_guard lock(reactor_conns_mutex_);
+    connections.reserve(reactor_conns_.size());
+    for (auto& [pointer, shared] : reactor_conns_) {
+      connections.push_back(shared);
     }
-    for (auto& connection : connections) connection->request_shutdown();
-    // Handler tasks drain first; their posted responses land on still-
-    // running loops (and are dropped — the connections are closed).
-    connection_pool_.reset();
-    for (auto& reactor : reactors_) reactor->stop();
-    reactors_.clear();
+  }
+  for (auto& connection : connections) connection->request_shutdown();
+  // Handler tasks drain first; their posted responses land on still-
+  // running loops (and are dropped — the connections are closed).
+  connection_pool_.reset();
+  for (auto& reactor : reactors_) reactor->stop();
+  reactors_.clear();
+  {
     std::lock_guard lock(reactor_conns_mutex_);
     reactor_conns_.clear();
-  } else {
-    // Wake protocol threads parked in receive() on keep-alive connections;
-    // without this, pool shutdown would wait on them forever.
-    {
-      std::lock_guard lock(live_mutex_);
-      for (net::Connection* connection : live_connections_) {
-        connection->abort();
-      }
-    }
-    connection_pool_.reset();
-    timer_service_.reset();
   }
   listeners_.clear();
 }
@@ -785,39 +559,6 @@ void HttpServer::detach_reactor_connection(ReactorConn* connection) {
   reactor_conns_.erase(connection);
 }
 
-void HttpServer::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    auto connection = listeners_[0]->accept();
-    if (!connection.ok()) {
-      if (connection.error().code() == ErrorCode::kShutdown) return;
-      SPI_LOG(kWarn, "http.server")
-          << "accept failed: " << connection.error().to_string();
-      continue;
-    }
-    if (reject_if_at_capacity(*connection.value())) continue;
-    open_connections_.fetch_add(1, std::memory_order_acq_rel);
-    auto conn = std::make_shared<BlockingConn>(
-        *this, std::move(connection).value());
-    bool accepted = connection_pool_->submit([this, conn] {
-      // Register for abort-on-stop; unregister before the connection dies.
-      {
-        std::lock_guard lock(live_mutex_);
-        live_connections_.insert(conn->connection());
-      }
-      conn->serve();
-      {
-        std::lock_guard lock(live_mutex_);
-        live_connections_.erase(conn->connection());
-      }
-      open_connections_.fetch_sub(1, std::memory_order_acq_rel);
-    });
-    if (!accepted) {
-      open_connections_.fetch_sub(1, std::memory_order_acq_rel);
-      return;  // shutting down
-    }
-  }
-}
-
 std::uint64_t HttpServer::reactor_loop_iterations() const {
   std::uint64_t total = 0;
   for (const auto& reactor : reactors_) total += reactor->iterations();
@@ -861,12 +602,9 @@ std::uint64_t HttpServer::sendv_segments() const {
 }
 
 size_t HttpServer::timer_wheel_depth() const {
-  if (reactor_mode_) {
-    size_t total = 0;
-    for (const auto& reactor : reactors_) total += reactor->timer_depth();
-    return total;
-  }
-  return timer_service_ ? timer_service_->size() : 0;
+  size_t total = 0;
+  for (const auto& reactor : reactors_) total += reactor->timer_depth();
+  return total;
 }
 
 }  // namespace spi::http

@@ -1,20 +1,13 @@
-// HTTP/1.1 server over a Transport, with two connection drivers sharing
-// one per-connection state machine (http/connection_fsm.hpp):
-//
-//   * Reactor driver (default for fd-backed transports): N event loops
-//     (concurrency/reactor.hpp) drive every connection non-blocking via
-//     readiness events; timeouts live on each loop's timer wheel; handlers
-//     run on the protocol pool and post their responses back to the loop.
-//     Thousands of idle keep-alive connections cost zero threads.
-//
-//   * Blocking driver (SimTransport, FaultyTransport, reactor_threads=0):
-//     the classic one-pooled-task-per-connection loop — the paper's
-//     Figure 1 "common architecture" — with timeouts on a shared
-//     TimerService wheel instead of per-receive deadlines.
+// HTTP/1.1 server over a Transport. N event loops (concurrency/
+// reactor.hpp) drive every connection non-blocking via readiness events
+// through one per-connection state machine (http/connection_fsm.hpp);
+// timeouts live on each loop's timer wheel; handlers run on the protocol
+// pool and post their responses back to the loop. Thousands of idle
+// keep-alive connections cost zero threads. Every transport is pollable
+// (SimTransport included, DESIGN.md §2), so this is the only driver.
 //
 // The SPI server (core/server.hpp) plugs a handler into this layer that
-// dispatches to an independent application stage (Figure 2); that SEDA
-// handoff is unchanged by the driver choice.
+// dispatches to an independent application stage (Figure 2).
 #pragma once
 
 #include <atomic>
@@ -22,8 +15,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -40,16 +31,13 @@
 namespace spi::http {
 
 struct ServerOptions {
-  /// Protocol-stage pool size. Blocking driver: concurrent connections
-  /// being served. Reactor driver: concurrent handler executions (the
-  /// loops themselves never block on a handler).
+  /// Protocol-stage pool size: concurrent handler executions (the loops
+  /// themselves never block on a handler).
   size_t protocol_threads = 8;
   ParserLimits limits;
 
-  /// Reactor event loops driving fd-backed connections. 0 forces the
-  /// blocking thread-per-connection driver even for pollable transports;
-  /// transports without pollable fds (SimTransport) always use the
-  /// blocking driver regardless.
+  /// Reactor event loops driving the connections; at least 1 (start()
+  /// rejects 0 with kInvalidArgument).
   size_t reactor_threads = 1;
 
   /// Per-core accept sharding (DESIGN.md §13): with >1 reactor loop and a
@@ -77,7 +65,7 @@ struct ServerOptions {
   /// Slowloris defense (DESIGN.md §11): once any byte of a request has
   /// arrived, the full message must finish parsing within this budget or
   /// the connection is answered 408 and closed — a peer dribbling one
-  /// header byte per second cannot park a protocol thread indefinitely.
+  /// header byte per second cannot hold a connection slot indefinitely.
   /// kNoTimeout disables.
   Duration header_read_timeout = std::chrono::seconds(30);
 
@@ -113,8 +101,8 @@ class HttpServer {
  public:
   /// The handler may block (the SPI server blocks it on the application
   /// stage's completion, which is the paper's "sleeping protocol thread"
-  /// behaviour). It runs on a protocol-pool thread under both drivers —
-  /// never on a reactor loop.
+  /// behaviour). It runs on a protocol-pool thread — never on a reactor
+  /// loop.
   using Handler = std::function<Response(const Request&)>;
 
   HttpServer(net::Transport& transport, net::Endpoint at, Handler handler,
@@ -124,7 +112,8 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds and starts accepting. Fails if the endpoint is taken.
+  /// Binds and starts accepting. Fails if the endpoint is taken, or with
+  /// kInvalidArgument when options.reactor_threads is 0.
   Status start();
 
   /// Stops accepting, closes the listener, and tears down all
@@ -135,8 +124,7 @@ class HttpServer {
   /// listener) while requests already in flight keep running and
   /// keep-alive peers get "Connection: close" on their next response.
   /// Poll active_requests() until it reaches zero (or a drain deadline
-  /// passes), then call stop(). Idempotent; exactly one caller joins the
-  /// acceptor, so a later stop() never double-joins.
+  /// passes), then call stop(). Idempotent.
   void stop_accepting();
 
   /// Requests currently between "framing parsed" and "response sent" —
@@ -186,10 +174,6 @@ class HttpServer {
     std::uint64_t sendv_segments = 0; ///< segments fully retired via sendv
   };
 
-  /// True when connections are served by reactor event loops (decided at
-  /// start() from reactor_threads and the transport's poll support).
-  bool reactor_mode() const { return reactor_mode_; }
-
   /// True when every reactor loop owns a SO_REUSEPORT listener (decided at
   /// start(); false on single-loop servers and non-reuseport transports).
   bool accept_sharded() const { return accept_sharded_; }
@@ -204,21 +188,18 @@ class HttpServer {
   std::uint64_t sendv_batches() const;
   std::uint64_t sendv_segments() const;
 
-  /// Loop iterations summed across reactors (0 in blocking mode).
+  /// Loop iterations summed across reactors.
   std::uint64_t reactor_loop_iterations() const;
 
-  /// Connections currently attached to reactor loops (0 in blocking mode).
+  /// Connections currently attached to reactor loops.
   size_t reactor_connections() const;
 
-  /// Pending timers across every wheel (reactor wheels or the blocking
-  /// driver's TimerService).
+  /// Pending timers across every loop's wheel.
   size_t timer_wheel_depth() const;
 
  private:
   class ReactorConn;
-  class BlockingConn;
   friend class ReactorConn;
-  friend class BlockingConn;
 
   /// One reactor loop's live counters (atomics: scraped from any thread,
   /// written from the owning loop).
@@ -230,7 +211,6 @@ class HttpServer {
     std::atomic<std::uint64_t> sendv_segments{0};
   };
 
-  void accept_loop();
   /// Drains pending accepts on listeners_[listener_index] (its owning
   /// loop's thread), bounded by accept_batch_per_wake.
   void on_acceptable(size_t listener_index);
@@ -254,10 +234,8 @@ class HttpServer {
   /// listeners_[i] is loop i's SO_REUSEPORT listener.
   std::vector<std::unique_ptr<net::Listener>> listeners_;
   std::unique_ptr<ThreadPool> connection_pool_;
-  bool reactor_mode_ = false;
   bool accept_sharded_ = false;
 
-  // Reactor driver state.
   std::vector<std::unique_ptr<Reactor>> reactors_;
   /// listener_tokens_[i] is listeners_[i]'s registration on its reactor
   /// (sharded: reactor i; fallback: the single token lives on reactor 0).
@@ -269,14 +247,6 @@ class HttpServer {
   mutable std::mutex reactor_conns_mutex_;
   std::unordered_map<ReactorConn*, std::shared_ptr<ReactorConn>>
       reactor_conns_;
-
-  // Blocking driver state.
-  std::jthread acceptor_;
-  std::unique_ptr<TimerService> timer_service_;
-  /// Connections currently being served; stop() aborts them so protocol
-  /// threads blocked in receive() on idle keep-alive connections wake up.
-  std::mutex live_mutex_;
-  std::set<net::Connection*> live_connections_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};

@@ -15,13 +15,6 @@ class FaultyTransport::FaultyConnection final : public Connection {
     if (severed_) {
       return Error(ErrorCode::kConnectionClosed, "injected sever");
     }
-    if (faults_.first_send_delay > Duration::zero() && sent_ == 0 &&
-        !delayed_) {
-      delayed_ = true;
-      owner_->delays_.fetch_add(1, std::memory_order_relaxed);
-      owner_->clock_->sleep_for(faults_.first_send_delay);
-    }
-
     std::string mutated;
     std::string_view to_send = bytes;
     if (faults_.corrupt_at != FaultPlan::npos && faults_.corrupt_at >= sent_ &&
@@ -63,10 +56,8 @@ class FaultyTransport::FaultyConnection final : public Connection {
 
   // --- non-blocking passthrough -----------------------------------------
   // Same sever/corrupt schedule applied to the readiness-driven path so
-  // the async client can run under chaos. Injected first-send DELAYS are
-  // not applied here: try_send runs on a reactor loop thread and must
-  // never sleep. supports_sendv() stays false so callers funnel through
-  // try_send, where byte-offset accounting lives.
+  // the async client can run under chaos. supports_sendv() stays false so
+  // callers funnel through try_send, where byte-offset accounting lives.
 
   int native_handle() const override { return inner_->native_handle(); }
 
@@ -135,12 +126,10 @@ class FaultyTransport::FaultyConnection final : public Connection {
   FaultyTransport* owner_;
   size_t sent_ = 0;
   bool severed_ = false;
-  bool delayed_ = false;
 };
 
-FaultyTransport::FaultyTransport(Transport& inner, FaultPlan plan,
-                                 Clock& clock)
-    : inner_(inner), plan_(plan), clock_(&clock), rng_(plan.seed) {}
+FaultyTransport::FaultyTransport(Transport& inner, FaultPlan plan)
+    : inner_(inner), plan_(plan), rng_(plan.seed) {}
 
 Result<std::unique_ptr<Listener>> FaultyTransport::listen(
     const Endpoint& at) {
@@ -174,9 +163,6 @@ FaultyTransport::ConnectionFaults FaultyTransport::draw_connection_faults() {
   if (faults.corrupt_at == FaultPlan::npos && plan_.corrupt_rate > 0 &&
       rng_.next_double() < plan_.corrupt_rate) {
     faults.corrupt_at = rng_.next_below(window);
-  }
-  if (plan_.delay_rate > 0 && rng_.next_double() < plan_.delay_rate) {
-    faults.first_send_delay = plan_.delay;
   }
   return faults;
 }
@@ -216,7 +202,6 @@ FaultStats FaultyTransport::fault_stats() const {
   s.refusals = refusals_.load(std::memory_order_relaxed);
   s.severs = severs_.load(std::memory_order_relaxed);
   s.corruptions = corruptions_.load(std::memory_order_relaxed);
-  s.delays = delays_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -229,7 +214,6 @@ void FaultyTransport::bind_metrics(telemetry::MetricsRegistry& registry) {
       {"kind=\"refusal\"", &refusals_},
       {"kind=\"sever\"", &severs_},
       {"kind=\"corruption\"", &corruptions_},
-      {"kind=\"delay\"", &delays_},
   };
   for (const View& view : views) {
     registry.add_callback("spi_fault_injected_total",

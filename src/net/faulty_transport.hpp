@@ -8,9 +8,9 @@
 //     outbound stream after exactly B bytes, flip one bit at absolute
 //     offset O;
 //   * seeded probabilistic faults for chaos runs: per-connection draws
-//     from a SplitMix64 stream decide refusal, a sever point, a corrupt
-//     point, and an added first-send delay. Equal seeds give equal fault
-//     schedules, so a chaos bench or CI shard reproduces bit-for-bit.
+//     from a SplitMix64 stream decide refusal, a sever point and a corrupt
+//     point. Equal seeds give equal fault schedules, so a chaos bench or
+//     CI shard reproduces bit-for-bit.
 //
 // Faults are injected on the DECORATED side only (the side that built the
 // FaultyTransport — conventionally the client); listen() passes through.
@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/clock.hpp"
 #include "common/random.hpp"
 #include "net/transport.hpp"
 #include "telemetry/metrics.hpp"
@@ -50,10 +49,6 @@ struct FaultPlan {
   /// Per-connection probability of a single corrupted byte, offset
   /// uniform in [0, fault_window_bytes).
   double corrupt_rate = 0.0;
-  /// Per-connection probability that the first send is delayed by
-  /// `delay` (models a stalled link, exercises receive timeouts).
-  double delay_rate = 0.0;
-  Duration delay = std::chrono::milliseconds(5);
   /// Offset window the probabilistic sever/corrupt points are drawn from;
   /// sized to land inside a typical request (headers + small body).
   size_t fault_window_bytes = 2048;
@@ -62,8 +57,7 @@ struct FaultPlan {
 
   /// Any probabilistic fault configured?
   bool chaotic() const {
-    return refuse_rate > 0 || sever_rate > 0 || corrupt_rate > 0 ||
-           delay_rate > 0;
+    return refuse_rate > 0 || sever_rate > 0 || corrupt_rate > 0;
   }
 };
 
@@ -74,15 +68,12 @@ struct FaultStats {
   std::uint64_t refusals = 0;   // injected connect failures
   std::uint64_t severs = 0;     // connections severed mid-stream
   std::uint64_t corruptions = 0;
-  std::uint64_t delays = 0;
 };
 
 class FaultyTransport final : public Transport {
  public:
-  /// `inner` is borrowed and must outlive this decorator. `clock` is what
-  /// injected delays sleep on (ManualClock in tests).
-  FaultyTransport(Transport& inner, FaultPlan plan,
-                  Clock& clock = RealClock::instance());
+  /// `inner` is borrowed and must outlive this decorator.
+  FaultyTransport(Transport& inner, FaultPlan plan);
 
   Result<std::unique_ptr<Listener>> listen(const Endpoint& at) override;
   Result<std::unique_ptr<Connection>> connect(const Endpoint& to) override;
@@ -90,9 +81,6 @@ class FaultyTransport final : public Transport {
   /// Non-blocking dials get the same refusal draw and per-connection fault
   /// schedule; the decorated connection passes readiness I/O through with
   /// sever/corrupt applied in try_send.
-  bool supports_nonblocking_connect() const override {
-    return inner_.supports_nonblocking_connect();
-  }
   Result<AsyncConnect> connect_nonblocking(const Endpoint& to) override;
 
   WireStats stats() const override { return inner_.stats(); }
@@ -109,7 +97,6 @@ class FaultyTransport final : public Transport {
   struct ConnectionFaults {
     size_t sever_at = 0;            // 0 = never
     size_t corrupt_at = FaultPlan::npos;
-    Duration first_send_delay{0};
   };
 
   class FaultyConnection;
@@ -119,7 +106,6 @@ class FaultyTransport final : public Transport {
 
   Transport& inner_;
   FaultPlan plan_;
-  Clock* clock_;
   std::atomic<int> refused_{0};
   std::mutex rng_mutex_;
   SplitMix64 rng_;
@@ -128,7 +114,6 @@ class FaultyTransport final : public Transport {
   std::atomic<std::uint64_t> refusals_{0};
   std::atomic<std::uint64_t> severs_{0};
   std::atomic<std::uint64_t> corruptions_{0};
-  std::atomic<std::uint64_t> delays_{0};
 };
 
 }  // namespace spi::net

@@ -25,7 +25,8 @@
 //
 // SimLink is a pure calculator: plan_send()/receive_wait() return
 // durations and never sleep, so unit tests verify the arithmetic without
-// waiting. SimTransport turns plans into real sleeps.
+// waiting. SimTransport turns plans into delivery times that a per-pipe
+// timerfd reports as readiness; nothing in the stack sleeps on them.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +92,9 @@ class SimLink {
   const LinkParams& params() const { return params_; }
 
   struct SendPlan {
-    /// How long the sending thread blocks: CPU-pool queueing for
-    /// serialization, then wire queueing + transmission.
+    /// How long the send occupies the sender: CPU-pool queueing for
+    /// serialization, then wire queueing + transmission (already part of
+    /// deliver_after).
     Duration sender_block{0};
     /// When (relative to `now`) the bytes become readable at the receiver:
     /// transmission end + one-way propagation.
@@ -106,12 +108,12 @@ class SimLink {
   SendPlan plan_send(std::uint64_t bytes, TimePoint now,
                      LinkDirection direction);
 
-  /// Reserves receiver-side CPU for deserializing `bytes`; returns how
-  /// long the receiving thread must block from `now`.
+  /// Reserves receiver-side CPU for deserializing `bytes` that arrived at
+  /// `now`; returns how long after `now` the bytes become readable.
   Duration receive_wait(std::uint64_t bytes, TimePoint now,
                         LinkDirection direction);
 
-  /// Connection-establishment delay (paid by the connecting client).
+  /// Connection-establishment delay (the client's first send waits it).
   Duration connect_delay() const { return params_.connect_cost; }
 
   /// Pure transmission time of `bytes` at link bandwidth (no queueing).

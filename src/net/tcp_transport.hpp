@@ -29,7 +29,6 @@ class TcpTransport final : public Transport {
 
   /// O_NONBLOCK dial: EINPROGRESS comes back as pending=true and the
   /// caller completes the handshake via writability + finish_connect().
-  bool supports_nonblocking_connect() const override { return true; }
   Result<AsyncConnect> connect_nonblocking(const Endpoint& to) override;
 
   WireStats stats() const override { return stats_.snapshot(); }

@@ -1,10 +1,13 @@
-// Transport abstraction: blocking byte-stream connections + listeners.
-// Two implementations:
+// Transport abstraction: byte-stream connections + listeners, each usable
+// blocking (send/receive/accept) or readiness-driven (native_handle +
+// try_* calls, the reactor path). Two implementations:
 //   * SimTransport (sim_transport.hpp) — in-process, delays injected by the
-//     SimLink model of the paper's 100 Mbit Ethernet testbed
+//     SimLink model of the paper's 100 Mbit Ethernet testbed; readiness
+//     comes from one timerfd per pipe direction
 //   * TcpTransport (tcp_transport.hpp) — real POSIX sockets (loopback
 //     integration tests, examples)
-// The HTTP layer and everything above it are transport-agnostic.
+// Every transport is pollable, so the HTTP layer and everything above it
+// run one code path (the reactor) whatever the transport.
 #pragma once
 
 #include <atomic>
@@ -84,13 +87,14 @@ struct AsyncConnect {
   bool pending = false;
 };
 
-/// Bidirectional blocking byte stream.
+/// Bidirectional byte stream.
 class Connection {
  public:
   virtual ~Connection() = default;
 
-  /// Sends all bytes, blocking until the transport has accepted them
-  /// (for SimTransport this includes the modeled transmission time).
+  /// Sends all bytes, blocking until the transport has accepted them.
+  /// SimTransport never blocks here: the modeled transmission time is
+  /// folded into the bytes' delivery time at the receiver.
   virtual Status send(std::string_view bytes) = 0;
 
   /// Receives at least 1 and at most max_bytes bytes, blocking until data
@@ -114,42 +118,27 @@ class Connection {
   /// connections at shutdown. Idempotent.
   virtual void abort() { close(); }
 
-  // --- non-blocking extension (event-driven connection layer, §12) ------
-  // fd-backed transports override these so a Reactor can drive thousands
-  // of connections from one thread via readiness events. The defaults
-  // mark a connection as not pollable; such connections (SimTransport,
-  // FaultyTransport) are served by the blocking thread-per-connection
-  // driver instead.
+  // --- readiness-driven I/O (event-driven connection layer, §12) --------
+  // A Reactor drives thousands of connections from one thread through
+  // these: it polls native_handle() and calls the try_* operations when
+  // the handle reports readiness.
 
-  /// Pollable OS handle for Poller registration; -1 when the connection
-  /// is not fd-backed.
-  virtual int native_handle() const { return -1; }
+  /// Pollable OS handle for Poller registration. Readable whenever
+  /// try_receive() has bytes (or EOF) to report.
+  virtual int native_handle() const = 0;
 
-  /// Switches the connection between blocking and O_NONBLOCK I/O. Only
-  /// meaningful when native_handle() >= 0.
-  virtual Status set_nonblocking(bool enabled) {
-    (void)enabled;
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support non-blocking I/O");
-  }
+  /// Switches the connection between blocking and O_NONBLOCK I/O.
+  virtual Status set_nonblocking(bool enabled) = 0;
 
   /// Non-blocking receive: up to max_bytes of whatever is buffered.
   /// kWouldBlock when nothing is available right now (re-arm read
   /// interest and return to the event loop); kConnectionClosed at EOF.
-  virtual Result<std::string> try_receive(size_t max_bytes) {
-    (void)max_bytes;
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support non-blocking I/O");
-  }
+  virtual Result<std::string> try_receive(size_t max_bytes) = 0;
 
   /// Non-blocking send: writes what fits into the outbound buffer and
   /// returns the byte count (possibly short). kWouldBlock when nothing
   /// could be accepted (arm write interest and retry on readiness).
-  virtual Result<size_t> try_send(std::string_view bytes) {
-    (void)bytes;
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support non-blocking I/O");
-  }
+  virtual Result<size_t> try_send(std::string_view bytes) = 0;
 
   /// True when try_sendv() gathers natively (writev/sendmsg). Callers keep
   /// a coalesced single-buffer fallback for transports that return false.
@@ -175,7 +164,7 @@ class Connection {
   virtual Status finish_connect() { return Status(); }
 };
 
-/// Blocking accept() source bound to an Endpoint.
+/// Connection source bound to an Endpoint.
 class Listener {
  public:
   virtual ~Listener() = default;
@@ -188,25 +177,17 @@ class Listener {
   /// The actual bound endpoint (with the resolved port for port 0).
   virtual Endpoint endpoint() const = 0;
 
-  /// Pollable listening handle; -1 when accept() cannot be poll-driven
-  /// (the reactor then falls back to a blocking acceptor thread).
-  virtual int native_handle() const { return -1; }
+  /// Pollable listening handle: readable while a connection is pending
+  /// (or the listener has closed).
+  virtual int native_handle() const = 0;
 
-  /// Switches accept() between blocking and O_NONBLOCK. Only meaningful
-  /// when native_handle() >= 0.
-  virtual Status set_nonblocking(bool enabled) {
-    (void)enabled;
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support non-blocking accept");
-  }
+  /// Switches accept() between blocking and O_NONBLOCK.
+  virtual Status set_nonblocking(bool enabled) = 0;
 
   /// Non-blocking accept: kWouldBlock when no connection is pending,
   /// kShutdown after close(). Accepted connections start in blocking mode;
   /// the reactor flips them with set_nonblocking(true).
-  virtual Result<std::unique_ptr<Connection>> try_accept() {
-    return Error(ErrorCode::kInvalidArgument,
-                 "transport does not support non-blocking accept");
-  }
+  virtual Result<std::unique_ptr<Connection>> try_accept() = 0;
 };
 
 class Transport {
@@ -231,14 +212,11 @@ class Transport {
 
   virtual Result<std::unique_ptr<Connection>> connect(const Endpoint& to) = 0;
 
-  /// True when connect_nonblocking() can return a pending, pollable dial
-  /// (the connection FSM path the async client needs).
-  virtual bool supports_nonblocking_connect() const { return false; }
-
   /// Starts a dial without blocking. When the result's `pending` flag is
   /// true, wait for writability on the connection's native_handle() and
-  /// then call Connection::finish_connect(). The default falls back to the
-  /// blocking connect() (pending=false) so non-fd transports keep working.
+  /// then call Connection::finish_connect(). The default returns connect()'s
+  /// connection already established (pending=false), which suits
+  /// transports whose connect() never blocks (SimTransport).
   virtual Result<AsyncConnect> connect_nonblocking(const Endpoint& to) {
     auto connection = connect(to);
     if (!connection.ok()) return connection.error();

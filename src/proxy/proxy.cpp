@@ -109,31 +109,22 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
   dispatcher_.bind_metrics(reg, "proxy");
   assembler_.bind_metrics(reg, "proxy");
 
-  // Async scatter runtime: one reactor loop thread drives EVERY sub-pack
-  // to every backend (DESIGN.md §16). Built before the fleet so
-  // make_backend can hand the shared client to each backend SpiClient.
-  if (transport_.supports_nonblocking_connect()) {
-    Reactor::Options reactor_options;
-    reactor_options.name = "spi-proxy-scatter";
-    async_reactor_ = std::make_unique<Reactor>(reactor_options);
-    http::AsyncClientOptions async_options;
-    async_options.max_connections_per_endpoint =
-        options_.max_pooled_connections_per_backend;
-    async_options.limits = options_.http_limits;
-    async_http_ = std::make_unique<http::AsyncHttpClient>(
-        *async_reactor_, transport_, async_options);
-    async_http_->bind_metrics(reg);
-  }
+  // Scatter runtime: one reactor loop thread drives EVERY sub-pack to
+  // every backend (DESIGN.md §16). Built before the fleet so make_backend
+  // can hand the shared client to each backend SpiClient.
+  Reactor::Options reactor_options;
+  reactor_options.name = "spi-proxy-scatter";
+  async_reactor_ = std::make_unique<Reactor>(reactor_options);
+  http::AsyncClientOptions async_options;
+  async_options.max_connections_per_endpoint =
+      options_.max_pooled_connections_per_backend;
+  async_options.limits = options_.http_limits;
+  async_http_ = std::make_unique<http::AsyncHttpClient>(
+      *async_reactor_, transport_, async_options);
+  async_http_->bind_metrics(reg);
 
   for (const net::Endpoint& backend : options_.backends) add_backend(backend);
   breakers_.bind_metrics(reg);
-
-  // The pool only exists on the blocking fallback path; async scatter
-  // costs zero dedicated threads per sub-pack.
-  if (!async_http_) {
-    scatter_pool_ = std::make_unique<ThreadPool>(
-        std::max<size_t>(1, options_.scatter_threads), "spi-proxy-scatter");
-  }
 
   http::ServerOptions http_options;
   http_options.protocol_threads = options_.protocol_threads;
@@ -148,17 +139,16 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
 PackingProxy::~PackingProxy() { stop(); }
 
 Status PackingProxy::start() {
-  if (async_reactor_ && !async_reactor_->running()) async_reactor_->start();
+  if (!async_reactor_->running()) async_reactor_->start();
   return http_server_->start();
 }
 
 void PackingProxy::stop() {
   // Handler threads are the only scatter submitters: stop them first, then
-  // the pool/reactor drain and shut down with nothing left to race (every
-  // handler waited out its own fan-out before returning).
+  // the reactor shuts down with nothing left to race (every handler waited
+  // out its own fan-out before returning).
   http_server_->stop();
-  if (scatter_pool_) scatter_pool_->shutdown();
-  if (async_reactor_) async_reactor_->stop();
+  async_reactor_->stop();
 }
 
 net::Endpoint PackingProxy::endpoint() const {
@@ -171,7 +161,7 @@ std::unique_ptr<PackingProxy::Backend> PackingProxy::make_backend(
   backend->endpoint = endpoint;
 
   core::ClientOptions client_options;
-  client_options.keep_alive = true;  // pooled connections stay warm
+  client_options.keep_alive = true;  // runtime connections stay warm
   client_options.target = options_.target;
   client_options.receive_timeout = options_.receive_timeout;
   client_options.retry = options_.backend_retry;
@@ -181,7 +171,7 @@ std::unique_ptr<PackingProxy::Backend> PackingProxy::make_backend(
   client_options.request_codec = options_.backend_request_codec;
   client_options.accept_codecs = options_.backend_accept_codecs;
   client_options.codecs = codecs_;
-  client_options.async_client = async_http_.get();  // null on fallback path
+  client_options.async_client = async_http_.get();
   backend->client = std::make_unique<core::SpiClient>(
       transport_, endpoint, std::move(client_options));
   // Materialize the endpoint's breaker now: the ctor's bind_metrics pass
@@ -233,12 +223,7 @@ void PackingProxy::remove_backend(const net::Endpoint& backend) {
   std::unique_ptr<Backend> retired = std::move(found->second);
   fleet_.erase(found);
   ring_.remove(backend);
-  {
-    // Close its warm connections; in-flight sub-packs finish (or fault)
-    // on the connections they already hold.
-    std::lock_guard pool_lock(retired->pool_mutex);
-    retired->idle.clear();
-  }
+  // In-flight sub-packs finish (or fault) on the connections they hold.
   retired_.push_back(std::move(retired));
 }
 
@@ -258,31 +243,6 @@ std::string PackingProxy::route_key(const core::ServiceCall& call) const {
   // Operation affinity: every GetWeather lands on one backend, which is
   // what makes backend-local caches and specialization possible.
   return call.service + "/" + call.operation;
-}
-
-std::unique_ptr<http::HttpClient> PackingProxy::checkout_connection(
-    Backend& backend) {
-  {
-    std::lock_guard lock(backend.pool_mutex);
-    if (!backend.idle.empty()) {
-      auto http = std::move(backend.idle.back());
-      backend.idle.pop_back();
-      return http;
-    }
-  }
-  http::ClientOptions options;
-  options.keep_alive = true;
-  options.limits = options_.http_limits;
-  return std::make_unique<http::HttpClient>(transport_, backend.endpoint,
-                                            options);
-}
-
-void PackingProxy::checkin_connection(Backend& backend,
-                                      std::unique_ptr<http::HttpClient> http) {
-  std::lock_guard lock(backend.pool_mutex);
-  if (backend.idle.size() < options_.max_pooled_connections_per_backend) {
-    backend.idle.push_back(std::move(http));
-  }
 }
 
 const codec::WireCodec& PackingProxy::negotiate_response_codec(
@@ -318,82 +278,10 @@ std::string PackingProxy::encode_response(const codec::WireCodec& codec,
   return std::move(encoded).value();
 }
 
-void PackingProxy::scatter_group(Group& group,
-                                 const resilience::Deadline& deadline,
-                                 const telemetry::TraceContext& trace,
-                                 core::PackMode mode) {
-  Backend& backend = *group.backend;
-  backend.subpacks.fetch_add(1, std::memory_order_relaxed);
-  backend.calls.fetch_add(group.calls.size(), std::memory_order_relaxed);
-  scattered_subpacks_.fetch_add(1, std::memory_order_relaxed);
-
-  // Thread-locals do not cross the scatter pool: re-install the message's
-  // deadline and trace inside the leg, so the sub-pack the backend client
-  // assembles carries the REMAINING budget and a child of the origin
-  // trace (same trace id on every sibling sub-pack).
-  resilience::DeadlineScope deadline_scope(deadline);
-  telemetry::TraceScope trace_scope(trace);
-
-  if (deadline.expired(RealClock::instance().now())) {
-    group.result = Error(ErrorCode::kDeadlineExceeded,
-                         "deadline expired before scatter to " +
-                             backend.endpoint.to_string());
-    backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-    return;
-  }
-
-  AdaptiveLimiter* limiter = backend.limiter.get();
-  if (limiter && !limiter->try_acquire()) {
-    // Shed locally instead of piling onto a backend already past its
-    // learned limit; the reroute pass may still land these calls on a
-    // sibling with headroom.
-    local_sheds_.fetch_add(1, std::memory_order_relaxed);
-    group.shed = true;
-    group.result =
-        Error(ErrorCode::kCapacityExceeded,
-              "proxy shed sub-pack at " + backend.endpoint.to_string() +
-                  "'s adaptive concurrency limit");
-    backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-    return;
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  std::unique_ptr<http::HttpClient> http = checkout_connection(backend);
-  Duration retry_after = Duration::zero();
-  auto result =
-      backend.client->execute_packed_on(*http, group.calls, mode, &retry_after);
-  if (limiter) {
-    limiter->release(std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - started)
-                         .count());
-  }
-  group.retry_after = retry_after;
-
-  if (result.ok()) {
-    // Message-level success: the connection is positioned at a message
-    // boundary, safe to reuse.
-    checkin_connection(backend, std::move(http));
-    size_t faults = 0;
-    bool all_shed = !result.value().empty();
-    for (const core::CallOutcome& outcome : result.value()) {
-      if (!outcome.ok()) ++faults;
-      if (!outcome_shed(outcome)) all_shed = false;
-    }
-    backend.faults.fetch_add(faults, std::memory_order_relaxed);
-    group.shed = all_shed;
-  } else {
-    // Message-level failure: the connection may hold half a response —
-    // drop it (checkout will dial fresh next time).
-    group.shed = shed_cause(result.error().code());
-    backend.faults.fetch_add(group.calls.size(), std::memory_order_relaxed);
-  }
-  group.result = std::move(result);
-}
-
-void PackingProxy::scatter_all_async(std::vector<Group>& groups,
-                                     const resilience::Deadline& deadline,
-                                     const telemetry::TraceContext& trace,
-                                     core::PackMode mode) {
+void PackingProxy::scatter_all(std::vector<Group>& groups,
+                               const resilience::Deadline& deadline,
+                               const telemetry::TraceContext& trace,
+                               core::PackMode mode) {
   // The async exchange captures the ambient deadline/trace at SUBMIT time
   // on this thread, so one pair of scopes covers the whole fan-out; the
   // sub-pack each backend client assembles (on the loop thread) carries
@@ -492,38 +380,6 @@ void PackingProxy::rebalance_two_groups(std::vector<Group>& groups) {
   larger.slots.resize(cap);
   larger.calls.resize(cap);
   rebalanced_calls_.fetch_add(move, std::memory_order_relaxed);
-}
-
-void PackingProxy::scatter_all(std::vector<Group>& groups,
-                               const resilience::Deadline& deadline,
-                               const telemetry::TraceContext& trace,
-                               core::PackMode mode) {
-  if (groups.empty()) return;
-  if (async_http_) {
-    scatter_all_async(groups, deadline, trace, mode);
-    return;
-  }
-  WaitGroup pending;
-  for (size_t i = 0; i + 1 < groups.size(); ++i) {
-    Group* group = &groups[i];
-    pending.add();
-    const bool queued = scatter_pool_->try_submit(
-        [this, group, &deadline, &trace, mode, &pending] {
-          scatter_group(*group, deadline, trace, mode);
-          pending.done();
-        });
-    if (!queued) {
-      // Pool saturated (or shutting down): run on the handler thread.
-      // Slower, but a full pool can never deadlock a message whose own
-      // handler is part of the fan-out.
-      scatter_group(*group, deadline, trace, mode);
-      pending.done();
-    }
-  }
-  // The last group always runs inline: the handler thread contributes a
-  // worker instead of sleeping, so K groups need only K-1 pool slots.
-  scatter_group(groups.back(), deadline, trace, mode);
-  pending.wait();
 }
 
 void PackingProxy::reroute_failures(std::vector<Group>& groups,

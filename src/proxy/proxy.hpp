@@ -4,7 +4,8 @@
 // opaque body: it parses the incoming Parallel_Method, routes each
 // sub-call by shard key over a consistent-hash ring of backends, RE-PACKS
 // a per-backend Parallel_Method per ring owner, scatters the sub-packs
-// concurrently over pooled keep-alive connections, and merges the
+// concurrently from one reactor-driven async client (keep-alive
+// connections, no thread per sub-pack), and merges the
 // responses back into one Parallel_Response carrying the ORIGINAL call
 // ids. A backend failure therefore faults (or re-routes) only the
 // sub-calls that lived on that backend — never the whole pack.
@@ -38,7 +39,6 @@
 #include "codec/registry.hpp"
 #include "codec/wire_codec.hpp"
 #include "concurrency/adaptive_limiter.hpp"
-#include "concurrency/thread_pool.hpp"
 #include "core/assembler.hpp"
 #include "core/client.hpp"
 #include "core/dispatcher.hpp"
@@ -73,15 +73,13 @@ struct ProxyOptions {
   size_t protocol_threads = 8;
   size_t reactor_threads = 1;
 
-  /// Workers scattering sub-packs on the BLOCKING fallback path (a
-  /// transport without non-blocking connect). A handler thread scatters
-  /// its LAST group inline, so even a full pool cannot deadlock a
-  /// message. When the transport supports non-blocking connect the proxy
-  /// scatters through its reactor-driven async client instead — no pool
-  /// thread per sub-pack, and 0 is a fine value here.
+  /// Ignored. Sub-packs always scatter through the proxy's reactor-driven
+  /// async client, which needs no scatter threads; the field remains for
+  /// callers that still set it.
   size_t scatter_threads = 8;
 
-  /// Idle keep-alive connections retained per backend.
+  /// Keep-alive connections the scatter runtime opens per backend
+  /// (concurrent sub-packs beyond this queue for a free one).
   size_t max_pooled_connections_per_backend = 8;
 
   /// Re-pack failed/shed sub-calls once onto surviving ring members
@@ -165,8 +163,8 @@ class PackingProxy {
   net::Endpoint endpoint() const;
 
   /// Ring membership at runtime: scaling the fleet moves only the keys
-  /// the changed member owns. Removing a backend drains its connection
-  /// pool; in-flight sub-packs to it finish (or fault) normally.
+  /// the changed member owns. In-flight sub-packs to a removed backend
+  /// finish (or fault) normally.
   void add_backend(const net::Endpoint& backend);
   void remove_backend(const net::Endpoint& backend);
   std::vector<net::Endpoint> backends() const;
@@ -179,21 +177,14 @@ class PackingProxy {
   telemetry::MetricsRegistry& metrics() { return *metrics_; }
   resilience::CircuitBreakerSet& breakers() { return breakers_; }
 
-  /// True when sub-packs scatter through the reactor-driven async client
-  /// (transport supports non-blocking connect) instead of the thread pool.
-  bool async_scatter() const { return async_http_ != nullptr; }
-
  private:
-  /// One ring member: its SPI client (assembly/parse/resilience) plus a
-  /// free-list of warm keep-alive HTTP connections the scatter legs
-  /// check out, so concurrent sub-packs to one backend each ride their
-  /// own connection and none of them dials per message.
+  /// One ring member: its SPI client (assembly/parse/resilience) on the
+  /// shared scatter runtime, whose keep-alive connections mean no
+  /// sub-pack dials per message.
   struct Backend {
     net::Endpoint endpoint;
     std::unique_ptr<core::SpiClient> client;
     std::unique_ptr<AdaptiveLimiter> limiter;  // null = unlimited
-    std::mutex pool_mutex;
-    std::vector<std::unique_ptr<http::HttpClient>> idle;
     std::atomic<std::uint64_t> subpacks{0};
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> faults{0};
@@ -217,24 +208,13 @@ class PackingProxy {
   http::Response handle_metrics();
   http::Response handle_healthz();
 
-  /// Sends one group: limiter gate, pooled connection checkout,
-  /// execute_packed_on, shed classification. Fills group.result.
-  void scatter_group(Group& group, const resilience::Deadline& deadline,
-                     const telemetry::TraceContext& trace,
-                     core::PackMode mode);
-
-  /// Runs every group to completion. Async mode: every group is issued
-  /// as one execute_packed_async on the shared reactor runtime and the
-  /// handler thread blocks ONCE for the whole fan-out (K sub-packs cost
-  /// zero pool threads). Fallback: all but the last group on the scatter
-  /// pool (inline when saturated), the last inline on the handler thread.
+  /// Runs every group to completion: each group (past its deadline and
+  /// limiter gates) is issued as one execute_packed_async on the shared
+  /// reactor runtime, and the handler thread blocks ONCE for the whole
+  /// fan-out (K sub-packs cost zero pool threads).
   void scatter_all(std::vector<Group>& groups,
                    const resilience::Deadline& deadline,
                    const telemetry::TraceContext& trace, core::PackMode mode);
-  void scatter_all_async(std::vector<Group>& groups,
-                         const resilience::Deadline& deadline,
-                         const telemetry::TraceContext& trace,
-                         core::PackMode mode);
 
   /// K=2 balancing (Options::rebalance_handler_round): moves tail calls
   /// from the larger of exactly two groups onto the smaller when that
@@ -254,9 +234,6 @@ class PackingProxy {
                               std::string plain, std::string* applied);
 
   std::unique_ptr<Backend> make_backend(const net::Endpoint& endpoint);
-  std::unique_ptr<http::HttpClient> checkout_connection(Backend& backend);
-  void checkin_connection(Backend& backend,
-                          std::unique_ptr<http::HttpClient> http);
 
   const codec::WireCodec& negotiate_response_codec(
       const http::Request& request);
@@ -271,9 +248,8 @@ class PackingProxy {
   core::Assembler assembler_;    // client<->proxy hop: merge responses
   std::string retry_after_value_;
 
-  /// Async scatter runtime (DESIGN.md §16): one reactor loop thread and
-  /// one AsyncHttpClient shared by every backend SpiClient. Present only
-  /// when the transport supports non-blocking connect. Declared before
+  /// Scatter runtime (DESIGN.md §16): one reactor loop thread and one
+  /// AsyncHttpClient shared by every backend SpiClient. Declared before
   /// the fleet so backends (whose in-flight async exchanges reference the
   /// client) are destroyed first.
   std::unique_ptr<Reactor> async_reactor_;
@@ -287,7 +263,6 @@ class PackingProxy {
   /// never free a Backend mid-flight.
   std::vector<std::unique_ptr<Backend>> retired_;
 
-  std::unique_ptr<ThreadPool> scatter_pool_;
   std::unique_ptr<http::HttpServer> http_server_;
 
   std::atomic<std::uint64_t> requests_{0};

@@ -94,8 +94,8 @@ class CircuitBreaker {
 };
 
 /// Breakers keyed by endpoint, created on first use. Shared by everything
-/// that talks to the same fleet (SpiClient exchanges, ConnectionPool
-/// checkout) so one component's observations protect the others.
+/// that talks to the same fleet (SpiClient exchanges, proxy backends) so
+/// one component's observations protect the others.
 class CircuitBreakerSet {
  public:
   explicit CircuitBreakerSet(CircuitBreakerOptions options = {},

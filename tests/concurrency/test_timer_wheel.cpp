@@ -1,7 +1,6 @@
 // TimerWheel unit coverage: schedule/fire rounding, cancel, hashed-slot
 // revolutions (the "cascade" case: entries sharing a bucket but due on
-// different revolutions), until_next, reentrant callbacks — plus the
-// threaded TimerService wrapper.
+// different revolutions), until_next, reentrant callbacks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -137,7 +136,7 @@ TEST(TimerWheelTest, SameBatchCancelCannotRetractCollectedTimer) {
   // advance() is collect-then-fire: once a tick span is collected, a
   // cancel issued by one of its callbacks cannot retract another timer
   // in the same batch. Drivers absorb such late fires with stale guards
-  // (ConnectionFsm::on_timer) or generation counters (BlockingConn).
+  // (ConnectionFsm::on_timer).
   TimerWheel wheel(5ms, 16);
   int fired = 0;
   TimerWheel::TimerId victim =
@@ -176,43 +175,6 @@ TEST(TimerWheelTest, ManyTimersAcrossRevolutions) {
   }
   EXPECT_EQ(fired.load(), kTimers);
   EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerServiceTest, FiresOnServiceThread) {
-  TimerService service("test-timer", 1ms, 64);
-  std::atomic<bool> fired{false};
-  service.schedule(5ms, [&] { fired.store(true); });
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (!fired.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(fired.load());
-  EXPECT_EQ(service.size(), 0u);
-}
-
-TEST(TimerServiceTest, CancelUsuallyPreventsFiring) {
-  TimerService service("test-timer", 1ms, 64);
-  std::atomic<int> fired{0};
-  auto id = service.schedule(500ms, [&] { fired.fetch_add(1); });
-  EXPECT_TRUE(service.cancel(id));
-  std::this_thread::sleep_for(20ms);
-  EXPECT_EQ(fired.load(), 0);
-}
-
-TEST(TimerServiceTest, StopDropsPendingTimers) {
-  std::atomic<int> fired{0};
-  {
-    TimerService service("test-timer", 1ms, 64);
-    service.schedule(10s, [&] { fired.fetch_add(1); });
-    service.stop();
-  }
-  EXPECT_EQ(fired.load(), 0);
-}
-
-TEST(TimerServiceTest, ScheduleAfterStopIsRejected) {
-  TimerService service("test-timer");
-  service.stop();
-  EXPECT_EQ(service.schedule(1ms, [] {}), TimerWheel::kInvalidTimer);
 }
 
 }  // namespace

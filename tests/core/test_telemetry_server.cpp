@@ -14,7 +14,7 @@
 #include "core/call_context.hpp"
 #include "core/client.hpp"
 #include "core/server.hpp"
-#include "http/connection_pool.hpp"
+#include "http/client.hpp"
 #include "net/sim_transport.hpp"
 #include "services/echo.hpp"
 #include "telemetry/trace.hpp"
@@ -46,21 +46,10 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   SpiServer server(transport_, net::Endpoint{"server", 80}, registry_);
   ASSERT_TRUE(server.start().ok());
 
-  // A client-side connection pool bound into the same registry: one
-  // fresh connect, one reuse.
-  http::ConnectionPool pool(transport_, 4);
-  pool.bind_metrics(server.metrics(), "client");
-  {
-    auto lease = pool.acquire(server.endpoint());
-    ASSERT_TRUE(lease.ok());
-  }
-  {
-    auto lease = pool.acquire(server.endpoint());
-    ASSERT_TRUE(lease.ok());
-  }
-
-  // Exactly one packed message carrying 4 calls.
+  // Exactly one packed message carrying 4 calls, from a client whose
+  // views are bound into the same registry.
   SpiClient client(transport_, server.endpoint());
+  client.bind_metrics(server.metrics(), "client");
   auto calls = bench::make_echo_calls(4, 16, /*seed=*/7);
   EXPECT_EQ(bench::count_echo_errors(calls, client.call_packed(calls)), 0u);
 
@@ -108,10 +97,8 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   EXPECT_NE(text.find("spi_assembler_envelopes_total{side=\"server\"} 1\n"),
             std::string::npos);
 
-  // Client connection pool bound into the server's registry.
-  EXPECT_NE(text.find("spi_httppool_created_total{pool=\"client\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("spi_httppool_reused_total{pool=\"client\"} 1\n"),
+  // Client views bound into the server's registry.
+  EXPECT_NE(text.find("spi_client_retries_total{client=\"client\"} 0\n"),
             std::string::npos);
 
   // Wire bytes flowed, admission never rejected, nothing in flight now.
@@ -121,6 +108,22 @@ TEST_F(TelemetryServerTest, MetricsScrapeCoversEveryLayer) {
   EXPECT_NE(text.find("spi_server_admission_rejections_total 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("spi_server_in_flight 0\n"), std::string::npos);
+}
+
+TEST_F(TelemetryServerTest, SingleReadRequestRecordsNonZeroHttpReadSpan) {
+  SpiServer server(transport_, net::Endpoint{"server", 81}, registry_);
+  ASSERT_TRUE(server.start().ok());
+
+  // A SimTransport message is delivered as one chunk, so the request
+  // arrives in a single read. The span still covers its framing parse and
+  // must not read zero.
+  SpiClient client(transport_, server.endpoint());
+  auto calls = bench::make_echo_calls(4, 16, /*seed=*/7);
+  EXPECT_EQ(bench::count_echo_errors(calls, client.call_packed(calls)), 0u);
+
+  const auto& read = server.metrics().histogram("spi_http_read_seconds", "");
+  EXPECT_EQ(read.count(), 1u);
+  EXPECT_GT(read.total_ns(), 0u);
 }
 
 TEST_F(TelemetryServerTest, HealthzFlipsTo503WhileSaturated) {

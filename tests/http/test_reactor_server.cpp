@@ -72,7 +72,6 @@ class ReactorServerTest : public ::testing::Test {
 
 TEST_F(ReactorServerTest, ServesRequestsInReactorMode) {
   auto server = make_server();
-  ASSERT_TRUE(server->reactor_mode());
 
   HttpClient client(transport_, server->endpoint());
   for (int i = 0; i < 5; ++i) {
@@ -85,16 +84,16 @@ TEST_F(ReactorServerTest, ServesRequestsInReactorMode) {
   EXPECT_GT(server->reactor_loop_iterations(), 0u);
 }
 
-TEST_F(ReactorServerTest, ReactorThreadsZeroFallsBackToBlockingDriver) {
+TEST_F(ReactorServerTest, ReactorThreadsZeroIsRejected) {
+  // The reactor is the only connection driver: a server with no loops
+  // could never serve anything, so start() refuses it up front.
   ServerOptions options;
   options.reactor_threads = 0;
-  auto server = make_server(options);
-  EXPECT_FALSE(server->reactor_mode());
-
-  HttpClient client(transport_, server->endpoint());
-  auto response = client.post("/svc", "hi");
-  ASSERT_TRUE(response.ok()) << response.error().to_string();
-  EXPECT_EQ(response.value().body, "echo:hi");
+  HttpServer server(transport_, net::Endpoint{"127.0.0.1", 0}, ok_handler,
+                    options);
+  Status started = server.start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.error().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST_F(ReactorServerTest, KeepAliveConnectionServesManySequentialRequests) {

@@ -166,7 +166,6 @@ std::unique_ptr<HttpServer> make_server(net::Transport& transport,
   auto server = std::make_unique<HttpServer>(
       transport, net::Endpoint{"127.0.0.1", 0}, echo_handler, options);
   EXPECT_TRUE(server->start().ok());
-  EXPECT_TRUE(server->reactor_mode());
   return server;
 }
 

@@ -1,16 +1,59 @@
 // Behavioural contract shared by SimTransport and TcpTransport, tested via
-// a typed parameterized suite, plus transport-specific cases.
+// a parameterized suite that reads both through blocking receive() and
+// through the reactor path (try_receive on poller readiness), plus
+// transport-specific cases.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <thread>
 
 #include "net/endpoint.hpp"
+#include "net/poller.hpp"
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
 
 namespace spi::net {
 namespace {
+
+using namespace std::chrono_literals;
+
+/// The reactor's way to read: wait for the connection's native_handle()
+/// to poll readable, then drain with try_receive(). kTimeout if nothing
+/// becomes readable within `patience`.
+Result<std::string> receive_on_readiness(Connection& connection,
+                                         size_t max_bytes,
+                                         Duration patience = 10s) {
+  auto poller = Poller::create();
+  if (Status added = poller->add(connection.native_handle(), 1,
+                                 Readiness::kRead);
+      !added.ok()) {
+    return added.error();
+  }
+  (void)connection.set_nonblocking(true);
+  Result<std::string> out = Error(ErrorCode::kTimeout, "never readable");
+  while (true) {
+    out = connection.try_receive(max_bytes);
+    if (out.ok() || out.error().code() != ErrorCode::kWouldBlock) break;
+    PollEvent event;
+    auto ready = poller->wait(&event, 1, patience);
+    if (!ready.ok() || ready.value() == 0) {
+      out = Error(ErrorCode::kTimeout, "never readable");
+      break;
+    }
+  }
+  (void)connection.set_nonblocking(false);
+  (void)poller->remove(connection.native_handle());
+  return out;
+}
+
+/// True when `fd` polls with any of `events` within `wait`.
+bool polls(int fd, short events, Duration wait) {
+  pollfd entry{fd, events, 0};
+  const int ms = static_cast<int>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(wait).count());
+  return ::poll(&entry, 1, ms) > 0 && (entry.revents & events) != 0;
+}
 
 // --- Endpoint ---------------------------------------------------------------
 
@@ -60,20 +103,30 @@ struct TcpFixture : TransportFixture {
   Endpoint make_endpoint() override { return Endpoint{"127.0.0.1", 0}; }
 };
 
+/// Param: "sim" / "tcp" read with blocking receive(); "sim_reactor" /
+/// "tcp_reactor" read on poller readiness with try_receive().
 class TransportContractTest
     : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    if (GetParam() == "sim") {
+    if (GetParam().starts_with("sim")) {
       fixture_ = std::make_unique<SimFixture>();
     } else {
       fixture_ = std::make_unique<TcpFixture>();
     }
+    reactor_path_ = GetParam().ends_with("_reactor");
   }
   Transport& transport() { return fixture_->transport(); }
   Endpoint make_endpoint() { return fixture_->make_endpoint(); }
+  bool sim() const { return GetParam().starts_with("sim"); }
+
+  Result<std::string> receive(Connection& connection, size_t max_bytes) {
+    return reactor_path_ ? receive_on_readiness(connection, max_bytes)
+                         : connection.receive(max_bytes);
+  }
 
   std::unique_ptr<TransportFixture> fixture_;
+  bool reactor_path_ = false;
 };
 
 TEST_P(TransportContractTest, EchoRoundTrip) {
@@ -84,7 +137,7 @@ TEST_P(TransportContractTest, EchoRoundTrip) {
   std::jthread server([&] {
     auto connection = listener.value()->accept();
     ASSERT_TRUE(connection.ok());
-    auto data = connection.value()->receive(1024);
+    auto data = receive(*connection.value(), 1024);
     ASSERT_TRUE(data.ok());
     ASSERT_TRUE(connection.value()->send("echo:" + data.value()).ok());
   });
@@ -94,7 +147,7 @@ TEST_P(TransportContractTest, EchoRoundTrip) {
   ASSERT_TRUE(client.value()->send("ping").ok());
   std::string received;
   while (received.size() < 9) {
-    auto chunk = client.value()->receive(1024);
+    auto chunk = receive(*client.value(), 1024);
     ASSERT_TRUE(chunk.ok()) << chunk.error().to_string();
     received += chunk.value();
   }
@@ -109,20 +162,20 @@ TEST_P(TransportContractTest, LargeTransferArrivesIntact) {
   std::jthread server([&] {
     auto connection = listener.value()->accept();
     ASSERT_TRUE(connection.ok());
-    size_t total = 0;
-    while (total < payload.size()) {
-      auto chunk = connection.value()->receive(64 * 1024);
+    std::string received;
+    while (received.size() < payload.size()) {
+      auto chunk = receive(*connection.value(), 64 * 1024);
       ASSERT_TRUE(chunk.ok());
-      total += chunk.value().size();
+      received += chunk.value();
     }
-    EXPECT_EQ(total, payload.size());
+    EXPECT_EQ(received, payload);
     ASSERT_TRUE(connection.value()->send("done").ok());
   });
 
   auto client = transport().connect(listener.value()->endpoint());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.value()->send(payload).ok());
-  auto ack = client.value()->receive(16);
+  auto ack = receive(*client.value(), 16);
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack.value(), "done");
 }
@@ -136,7 +189,7 @@ TEST_P(TransportContractTest, CloseSignalsPeer) {
     ASSERT_TRUE(connection.ok());
     // Drain until close.
     while (true) {
-      auto chunk = connection.value()->receive(1024);
+      auto chunk = receive(*connection.value(), 1024);
       if (!chunk.ok()) {
         EXPECT_EQ(chunk.error().code(), ErrorCode::kConnectionClosed);
         break;
@@ -152,8 +205,8 @@ TEST_P(TransportContractTest, CloseSignalsPeer) {
 
 TEST_P(TransportContractTest, ConnectToUnboundEndpointFails) {
   // For TCP, port 1 on loopback is assumed unbound (no root).
-  Endpoint nowhere = GetParam() == "sim" ? Endpoint{"ghost", 404}
-                                         : Endpoint{"127.0.0.1", 1};
+  Endpoint nowhere = sim() ? Endpoint{"ghost", 404}
+                           : Endpoint{"127.0.0.1", 1};
   auto connection = transport().connect(nowhere);
   ASSERT_FALSE(connection.ok());
   EXPECT_EQ(connection.error().code(), ErrorCode::kConnectionFailed);
@@ -178,7 +231,7 @@ TEST_P(TransportContractTest, StatsCountTraffic) {
   std::jthread server([&] {
     auto connection = listener.value()->accept();
     ASSERT_TRUE(connection.ok());
-    (void)connection.value()->receive(1024);
+    (void)receive(*connection.value(), 1024);
   });
   auto client = transport().connect(listener.value()->endpoint());
   ASSERT_TRUE(client.ok());
@@ -196,13 +249,17 @@ TEST_P(TransportContractTest, ReceiveZeroIsInvalid) {
   std::jthread server([&] { (void)listener.value()->accept(); });
   auto client = transport().connect(listener.value()->endpoint());
   ASSERT_TRUE(client.ok());
-  auto bad = client.value()->receive(0);
+  auto bad = reactor_path_ ? client.value()->try_receive(0)
+                           : client.value()->receive(0);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code(), ErrorCode::kInvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportContractTest,
                          ::testing::Values("sim", "tcp"),
+                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(ReadinessPath, TransportContractTest,
+                         ::testing::Values("sim_reactor", "tcp_reactor"),
                          [](const auto& info) { return info.param; });
 
 // --- sim-specific -------------------------------------------------------------
@@ -226,29 +283,149 @@ TEST(SimTransportTest, EndpointReusableAfterListenerClose) {
   EXPECT_TRUE(transport.listen(Endpoint{"h", 2}).ok());
 }
 
-TEST(SimTransportTest, LinkDelaysApplyToTransfers) {
-  LinkParams params = LinkParams::instant();
-  params.rtt = std::chrono::milliseconds(10);
+/// One echoed round trip of `payload` over a fresh SimTransport, timed
+/// from before connect(); both ends read through blocking receive() or,
+/// with `reactor_path`, on readiness. Returns the elapsed ms and the bytes
+/// that came back.
+std::pair<double, std::string> sim_round_trip(const LinkParams& params,
+                                              const std::string& payload,
+                                              bool reactor_path) {
   SimTransport transport(params);
   auto listener = transport.listen(Endpoint{"h", 3});
-  ASSERT_TRUE(listener.ok());
+  EXPECT_TRUE(listener.ok());
+  auto read_all = [&](Connection& connection) {
+    std::string received;
+    while (received.size() < payload.size()) {
+      auto chunk = reactor_path ? receive_on_readiness(connection, 1 << 20)
+                                : connection.receive(1 << 20);
+      if (!chunk.ok()) break;
+      received += chunk.value();
+    }
+    return received;
+  };
 
   std::jthread server([&] {
     auto connection = listener.value()->accept();
     ASSERT_TRUE(connection.ok());
-    auto data = connection.value()->receive(64);
-    ASSERT_TRUE(data.ok());
-    ASSERT_TRUE(connection.value()->send(data.value()).ok());
+    std::string data = read_all(*connection.value());
+    ASSERT_TRUE(connection.value()->send(data).ok());
   });
 
+  Stopwatch stopwatch;
+  auto client = transport.connect(listener.value()->endpoint());
+  EXPECT_TRUE(client.ok());
+  EXPECT_TRUE(client.value()->send(payload).ok());
+  std::string reply = read_all(*client.value());
+  return {stopwatch.elapsed_ms(), reply};
+}
+
+TEST(SimTransportTest, LinkDelaysApplyToTransfers) {
+  LinkParams params = LinkParams::instant();
+  params.rtt = std::chrono::milliseconds(10);
+  // One full round trip: >= 2 * rtt/2 = 10 ms of modeled propagation.
+  EXPECT_GE(sim_round_trip(params, "x", /*reactor_path=*/false).first, 9.0);
+}
+
+TEST(SimTransportTest, LinkDelaysApplyToTransfersOnReadinessPath) {
+  LinkParams params = LinkParams::instant();
+  params.rtt = std::chrono::milliseconds(10);
+  EXPECT_GE(sim_round_trip(params, "x", /*reactor_path=*/true).first, 9.0);
+}
+
+TEST(SimTransportTest, BlockingAndReadinessPathsShowTheSameModel) {
+  // Every SimLink term in play: handshake, sender CPU + per-message cost,
+  // transmission, propagation, receiver CPU — in both directions.
+  LinkParams params;
+  params.connect_cost = 2ms;
+  params.rtt = 4ms;
+  params.bandwidth_bytes_per_sec = 12.5e6;
+  params.endpoint_ns_per_byte = 50.0;
+  params.per_message_overhead = 1ms;
+  const std::string payload(10'000, 'p');
+  // Per direction: 0.5 ms sender CPU + 1 ms per message + 0.8 ms on the
+  // wire + 2 ms propagation + 0.5 ms receiver CPU = 4.8 ms; plus 2 ms of
+  // handshake before the first byte leaves.
+  const double modeled_ms = 2.0 + 2 * 4.8;
+
+  auto [blocking_ms, blocking_bytes] =
+      sim_round_trip(params, payload, /*reactor_path=*/false);
+  auto [readiness_ms, readiness_bytes] =
+      sim_round_trip(params, payload, /*reactor_path=*/true);
+  EXPECT_EQ(blocking_bytes, payload);
+  EXPECT_EQ(readiness_bytes, payload);
+  // Delivery times are absolute timer deadlines, so neither path can beat
+  // the model; both only add scheduling slack on top of it.
+  EXPECT_GE(blocking_ms, modeled_ms - 0.05);
+  EXPECT_GE(readiness_ms, modeled_ms - 0.05);
+  EXPECT_LT(blocking_ms, modeled_ms + 25.0);
+  EXPECT_LT(readiness_ms, modeled_ms + 25.0);
+}
+
+TEST(SimTransportTest, TrySendTakesEverythingWithoutWaiting) {
+  // 1 MB at 1 MB/s is a one-second transmission — folded into the
+  // delivery time, never into the sender. A short count or kWouldBlock
+  // would strand the caller: a timerfd never polls writable.
+  LinkParams params = LinkParams::instant();
+  params.bandwidth_bytes_per_sec = 1e6;
+  SimTransport transport(params);
+  auto listener = transport.listen(Endpoint{"h", 5});
+  ASSERT_TRUE(listener.ok());
   auto client = transport.connect(listener.value()->endpoint());
   ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->set_nonblocking(true).ok());
+
+  const std::string payload(1'000'000, 'w');
   Stopwatch stopwatch;
-  ASSERT_TRUE(client.value()->send("x").ok());
-  auto reply = client.value()->receive(64);
-  ASSERT_TRUE(reply.ok());
-  // One full round trip: >= 2 * rtt/2 = 10 ms of modeled propagation.
-  EXPECT_GE(stopwatch.elapsed_ms(), 9.0);
+  for (int i = 0; i < 3; ++i) {
+    auto sent = client.value()->try_send(payload);
+    ASSERT_TRUE(sent.ok()) << sent.error().to_string();
+    EXPECT_EQ(sent.value(), payload.size());
+  }
+  EXPECT_LT(stopwatch.elapsed_ms(), 500.0);
+  EXPECT_FALSE(polls(client.value()->native_handle(), POLLOUT, 0ms));
+
+  // The server end sees nothing before the modeled delivery time.
+  auto server_end = listener.value()->try_accept();
+  ASSERT_TRUE(server_end.ok());
+  EXPECT_FALSE(polls(server_end.value()->native_handle(), POLLIN, 0ms));
+  auto early = server_end.value()->try_receive(64);
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.error().code(), ErrorCode::kWouldBlock);
+}
+
+TEST(SimTransportTest, ClosedPipePollsReadableAndReportsClosed) {
+  SimTransport transport;
+  auto listener = transport.listen(Endpoint{"h", 6});
+  ASSERT_TRUE(listener.ok());
+  // The listener's handle polls readable exactly while a dial is queued.
+  EXPECT_FALSE(polls(listener.value()->native_handle(), POLLIN, 0ms));
+  auto client = transport.connect(listener.value()->endpoint());
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(polls(listener.value()->native_handle(), POLLIN, 1s));
+  auto server_end = listener.value()->try_accept();
+  ASSERT_TRUE(server_end.ok());
+  EXPECT_FALSE(polls(listener.value()->native_handle(), POLLIN, 0ms));
+
+  Connection& server = *server_end.value();
+  EXPECT_FALSE(polls(server.native_handle(), POLLIN, 0ms));
+  auto idle = server.try_receive(64);
+  ASSERT_FALSE(idle.ok());
+  EXPECT_EQ(idle.error().code(), ErrorCode::kWouldBlock);
+
+  // Bytes then FIN: the bytes drain first, then the pipe stays readable
+  // and reports the close.
+  ASSERT_TRUE(client.value()->send("last").ok());
+  client.value()->close();
+  ASSERT_TRUE(polls(server.native_handle(), POLLIN, 1s));
+  auto data = server.try_receive(64);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data.value(), "last");
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(polls(server.native_handle(), POLLIN, 0ms));
+    auto closed = server.try_receive(64);
+    ASSERT_FALSE(closed.ok());
+    EXPECT_EQ(closed.error().code(), ErrorCode::kConnectionClosed);
+  }
 }
 
 TEST(SimTransportTest, SendOnClosedConnectionFails) {

@@ -126,8 +126,8 @@ class ProxyFixture : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Async scatter path: TcpTransport supports non-blocking connect, so the
-// proxy builds its reactor runtime and scatter_threads=0 is viable.
+// Async scatter over TCP: the proxy's reactor runtime scatters every
+// sub-pack, so no scatter threads are needed.
 
 class AsyncProxyTest : public ProxyFixture<net::TcpTransport> {
  protected:
@@ -142,9 +142,8 @@ class AsyncProxyTest : public ProxyFixture<net::TcpTransport> {
 TEST_F(AsyncProxyTest, K8ScatterWithZeroScatterThreads) {
   start_backends(8);
   ProxyOptions options;
-  options.scatter_threads = 0;  // async mode needs NO scatter pool
+  options.scatter_threads = 0;  // ignored: scatter needs no pool
   start_proxy(std::move(options));
-  ASSERT_TRUE(proxy_->async_scatter());
 
   core::SpiClient client(transport_, proxy_->endpoint());
   std::vector<ServiceCall> calls;
@@ -167,7 +166,6 @@ TEST_F(AsyncProxyTest, K8ScatterWithZeroScatterThreads) {
 TEST_F(AsyncProxyTest, AsyncRerouteOnDeadBackendKeepsPackWhole) {
   start_backends(4);
   start_proxy(ProxyOptions{});
-  ASSERT_TRUE(proxy_->async_scatter());
 
   // Six calls per ring owner, then kill one backend AFTER the ring
   // formed: its sub-pack fails fast (connect refused) and reroutes onto
@@ -206,9 +204,8 @@ TEST_F(AsyncProxyTest, AsyncRuntimeMetricsExposedFromProxyRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// K=2 sub-pack balancing: SimTransport has no non-blocking connect, so
-// these run on the blocking scatter path — the balancing is path-agnostic
-// (it rewrites the groups BEFORE scatter).
+// K=2 sub-pack balancing on SimTransport: the balancing rewrites the
+// groups BEFORE scatter, so it holds on any transport.
 
 class RebalanceProxyTest : public ProxyFixture<net::SimTransport> {
  protected:
@@ -225,7 +222,6 @@ TEST_F(RebalanceProxyTest, MovesTailCallsToEqualizeHandlerRounds) {
   ProxyOptions options;
   options.rebalance_handler_round = 8;
   start_proxy(std::move(options));
-  EXPECT_FALSE(proxy_->async_scatter());
 
   // 15 calls on backend-1, 1 on backend-2: rounds of 8 make the pair
   // {2 rounds, 1 round}. Moving 7 tail calls gives {8, 8} = one round
