@@ -1,7 +1,7 @@
 // libFuzzer target for the SOAP layer above the tokenizer: envelope
-// parsing (DOM path with default and tiny EnvelopeLimits), the wire-format
-// request parser, and its single-pass streaming twin. This is the exact
-// byte path a hostile client reaches through POST /spi, minus sockets.
+// parsing (the DOM path, with default and tiny limits) and the wire-format
+// request and response parsers. This is the exact byte path a hostile
+// client reaches through POST /spi, minus sockets and codecs.
 // Invariants: no crash, no sanitizer report, every rejection is a clean
 // Result error.
 #include <cstddef>
@@ -21,7 +21,6 @@ void drive(std::string_view input, const spi::xml::ParseLimits& parse_limits,
     (void)spi::core::wire::parse_request(envelope.value());
     (void)spi::core::wire::parse_response(envelope.value());
   }
-  (void)spi::core::wire::parse_request_streaming(input, parse_limits);
 }
 
 }  // namespace

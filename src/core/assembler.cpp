@@ -54,27 +54,17 @@ std::string Assembler::assemble_request(std::span<const ServiceCall> calls,
   if (calls.empty()) {
     throw SpiError(ErrorCode::kInvalidArgument, "empty call batch");
   }
-  bool packed = false;
-  switch (mode) {
-    case PackMode::kPacked: packed = true; break;
-    case PackMode::kSingle:
-      if (calls.size() > 1) {
-        throw SpiError(ErrorCode::kInvalidArgument,
-                       "PackMode::kSingle with a multi-call batch");
-      }
-      packed = false;
-      break;
-    case PackMode::kAuto: packed = calls.size() > 1; break;
+  if (mode == PackMode::kSingle && calls.size() > 1) {
+    throw SpiError(ErrorCode::kInvalidArgument,
+                   "PackMode::kSingle with a multi-call batch");
   }
 
   calls_.fetch_add(calls.size(), std::memory_order_relaxed);
-  if (packed) {
+  if (packs(mode, calls.size())) {
     packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
     xml::Writer& writer = scratch_writer(wire::estimate_request_bytes(calls));
     wire::write_packed_request(writer, calls);
-    std::string envelope = finish_envelope(writer.str());
-    pack_cost_.charge(envelope.size(), calls.size());
-    return envelope;
+    return finish_envelope(writer.str());
   }
   xml::Writer& writer =
       scratch_writer(wire::estimate_request_bytes(calls.subspan(0, 1)));
@@ -88,9 +78,7 @@ std::string Assembler::assemble_plan(const RemotePlan& plan) {
   }
   calls_.fetch_add(plan.steps.size(), std::memory_order_relaxed);
   packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-  std::string envelope = finish_envelope(wire::serialize_plan_request(plan));
-  pack_cost_.charge(envelope.size(), plan.steps.size());
-  return envelope;
+  return finish_envelope(wire::serialize_plan_request(plan));
 }
 
 std::string Assembler::assemble_response(
@@ -105,9 +93,7 @@ std::string Assembler::assemble_response(
     xml::Writer& writer =
         scratch_writer(wire::estimate_response_bytes(outcomes));
     wire::write_packed_response(writer, outcomes);
-    std::string envelope = finish_envelope(writer.str());
-    pack_cost_.charge(envelope.size(), outcomes.size());
-    return envelope;
+    return finish_envelope(writer.str());
   }
   if (outcomes.size() != 1) {
     throw SpiError(ErrorCode::kInvalidArgument,

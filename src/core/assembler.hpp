@@ -29,6 +29,11 @@ enum class PackMode {
   kAuto,
 };
 
+/// Whether assemble_request frames `calls` calls as one Parallel_Method.
+constexpr bool packs(PackMode mode, size_t calls) {
+  return mode == PackMode::kPacked || (mode == PackMode::kAuto && calls > 1);
+}
+
 class Assembler {
  public:
   struct Stats {
@@ -39,7 +44,8 @@ class Assembler {
 
   /// `wsse` (optional, unowned) adds a Security header to every envelope.
   /// `pack_cost` models the testbed's packed-message handling overhead
-  /// (see pack_cost.hpp); it is charged once per packed envelope built.
+  /// (see pack_cost.hpp); callers charge it through charge_pack_cost once
+  /// a packed envelope has its wire size.
   explicit Assembler(soap::WsseTokenFactory* wsse = nullptr,
                      PackCostModel pack_cost = {})
       : wsse_(wsse), pack_cost_(pack_cost) {}
@@ -58,6 +64,12 @@ class Assembler {
   /// the request framing so traditional clients get traditional responses.
   std::string assemble_response(std::span<const IndexedOutcome> outcomes,
                                 const ServiceCall& single_call, bool packed);
+
+  /// Charges the pack-side handling cost of one packed envelope carrying
+  /// `calls` payloads at `wire_bytes`, its size after the wire codec.
+  void charge_pack_cost(std::uint64_t wire_bytes, std::uint64_t calls) const {
+    pack_cost_.charge(wire_bytes, calls);
+  }
 
   Stats stats() const;
 

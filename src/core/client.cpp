@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/logging.hpp"
+#include "core/codec_boundary.hpp"
 #include "telemetry/trace.hpp"
 
 namespace spi::core {
@@ -78,6 +79,7 @@ const codec::CodecRegistry& SpiClient::codec_registry() const {
 }
 
 Result<std::string> SpiClient::encode_request(std::string envelope,
+                                              size_t packed_calls,
                                               http::Headers& headers) {
   if (!options_.accept_codecs.empty()) {
     std::string accept;
@@ -87,51 +89,32 @@ Result<std::string> SpiClient::encode_request(std::string envelope,
     }
     headers.set("Accept-Encoding", accept);
   }
-  if (options_.request_codec.empty() || options_.request_codec == "identity") {
-    return envelope;
+  std::string body = std::move(envelope);
+  if (!options_.request_codec.empty() &&
+      options_.request_codec != "identity") {
+    const codec::WireCodec* codec =
+        codec_registry().find(options_.request_codec);
+    if (!codec) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "unknown request codec: " + options_.request_codec);
+    }
+    auto encoded = codec->encode(body);
+    if (!encoded.ok()) return encoded.wrap_error("encode request");
+    headers.set("Content-Encoding", std::string(codec->name()));
+    body = std::move(encoded).value();
   }
-  const codec::WireCodec* codec = codec_registry().find(options_.request_codec);
-  if (!codec) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "unknown request codec: " + options_.request_codec);
-  }
-  auto encoded = codec->encode(envelope);
-  if (!encoded.ok()) return encoded.wrap_error("encode request");
-  headers.set("Content-Encoding", std::string(codec->name()));
-  return encoded;
+  if (packed_calls > 0) assembler_.charge_pack_cost(body.size(), packed_calls);
+  return body;
 }
 
 Result<wire::ParsedResponse> SpiClient::parse_wire_response(
     const http::Response& response) {
-  std::string_view coding = "identity";
-  if (auto header = response.headers.get("Content-Encoding")) {
-    coding = *header;
+  auto codec = content_codec(response.headers, codec_registry());
+  if (!codec.ok()) {
+    return Error(ErrorCode::kProtocolError, codec.error().message());
   }
-  const codec::WireCodec* codec = codec_registry().find(coding);
-  if (!codec) {
-    return Error(ErrorCode::kProtocolError,
-                 "response Content-Encoding \"" + std::string(coding) +
-                     "\" not supported");
-  }
-  if (codec->name() == "identity") {
-    return dispatcher_.parse_response(response.body);
-  }
-  const size_t budget = options_.http_limits.max_body_bytes;
-  if (codec->decodes_to_document()) {
-    auto document = codec->decode_document(response.body, budget,
-                                           dispatcher_.parse_limits());
-    if (!document.ok()) return document.wrap_error("decode response");
-    return dispatcher_.parse_response_document(std::move(document).value(),
-                                               response.body.size());
-  }
-  auto plain = codec->decode(response.body, budget);
-  if (!plain.ok()) return plain.wrap_error("decode response");
-  // The modeled stack would have handled the compressed wire bytes, not
-  // the expanded text: capture the parse charge and replay it at wire size.
-  PackCostDeferral deferral;
-  auto parsed = dispatcher_.parse_response(plain.value());
-  deferral.replay(response.body.size());
-  return parsed;
+  return dispatcher_.parse_response(*codec.value(), response.body,
+                                    options_.http_limits.max_body_bytes);
 }
 
 CallOutcome SpiClient::call(const ServiceCall& service_call) {
@@ -203,14 +186,10 @@ Result<std::vector<CallOutcome>> SpiClient::execute_plan(
   telemetry::TraceScope trace_scope(trace);
 
   http::Request request = new_request();
-  {
-    PackCostDeferral deferral;
-    std::string envelope = assembler_.assemble_plan(plan);
-    auto encoded = encode_request(std::move(envelope), request.headers);
-    if (!encoded.ok()) return encoded.wrap_error("spi plan");
-    request.body = std::move(encoded).value();
-    deferral.replay(request.body.size());
-  }
+  auto encoded = encode_request(assembler_.assemble_plan(plan),
+                                plan.steps.size(), request.headers);
+  if (!encoded.ok()) return encoded.wrap_error("spi plan");
+  request.body = std::move(encoded).value();
   auto response =
       runtime()
           .send_future(server_, std::move(request), options_.receive_timeout)

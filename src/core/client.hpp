@@ -279,14 +279,15 @@ class SpiClient {
 
   /// Applies options_.request_codec to an assembled envelope and sets the
   /// Content-Encoding / Accept-Encoding request headers. Identity with no
-  /// accept list leaves both the body and the headers untouched.
+  /// accept list leaves both the body and the headers untouched. A packed
+  /// envelope (`packed_calls` > 0) is charged the client pack cost at its
+  /// encoded size.
   Result<std::string> encode_request(std::string envelope,
+                                     size_t packed_calls,
                                      http::Headers& headers);
 
-  /// Decodes a response body per its Content-Encoding header (unknown
-  /// coding → kProtocolError) and parses it — through the document path
-  /// for codecs that carry structure natively (bxml), through the text
-  /// dispatcher otherwise. Pack cost is charged on the wire bytes.
+  /// Parses a response body through the Dispatcher's codec entry, per its
+  /// Content-Encoding header (unknown coding → kProtocolError).
   Result<wire::ParsedResponse> parse_wire_response(
       const http::Response& response);
 

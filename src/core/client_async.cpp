@@ -141,7 +141,7 @@ struct SpiClient::AsyncExchange
 
     // Assemble under the captured deadline/trace: the Assembler
     // serializes <spi:Deadline> from the ambient scope and <spi:Trace>
-    // from the ambient trace, and the pack-cost charge is replayed at
+    // from the ambient trace; encode_request charges the pack cost at
     // wire size.
     http::Request request = client->new_request();
     {
@@ -153,17 +153,15 @@ struct SpiClient::AsyncExchange
       }
       telemetry::TraceScope trace_scope(trace);
 
-      PackCostDeferral deferral;
-      std::string envelope =
-          client->assembler_.assemble_request(round_calls, round_mode);
-      auto encoded =
-          client->encode_request(std::move(envelope), request.headers);
+      auto encoded = client->encode_request(
+          client->assembler_.assemble_request(round_calls, round_mode),
+          packs(round_mode, round_calls.size()) ? round_calls.size() : 0,
+          request.headers);
       if (!encoded.ok()) {
         round_failed(encoded.wrap_error("spi exchange"));
         return;
       }
       request.body = std::move(encoded).value();
-      deferral.replay(request.body.size());
     }
 
     // One wheel timer bounds the whole attempt: the configured receive

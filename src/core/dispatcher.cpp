@@ -7,47 +7,47 @@
 
 namespace spi::core {
 
-Result<wire::ParsedRequest> Dispatcher::parse_request(
-    std::string_view envelope_xml) {
-  if (streaming_ && !verifier_) {
-    auto streamed = wire::parse_request_streaming(envelope_xml, parse_limits_);
-    if (streamed.ok()) {
-      envelopes_.fetch_add(1, std::memory_order_relaxed);
-      if (streamed.value().packed) {
-        packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-        pack_cost_.charge(envelope_xml.size(),
-                          streamed.value().calls.size());
-      }
-      // The streaming parser skips header blocks; the deadline still has
-      // to make it through, so recover it from the raw document.
-      if (auto deadline = resilience::Deadline::scan(
-              envelope_xml, RealClock::instance().now())) {
-        streamed.value().deadline = *deadline;
-      }
-      return streamed;
-    }
-    if (streamed.error().code() != ErrorCode::kInvalidArgument) {
-      return streamed.error();
-    }
-    // kInvalidArgument: unsupported shape (Remote_Execution) — DOM path.
+Result<soap::Envelope> Dispatcher::decode_envelope(
+    const codec::WireCodec& codec, std::string_view wire,
+    size_t decoded_budget, bool request) {
+  const char* what = request ? "decode request" : "decode response";
+  if (codec.decodes_to_document()) {
+    auto document = codec.decode_document(wire, decoded_budget, parse_limits_);
+    if (!document.ok()) return document.wrap_error(what);
+    return soap::Envelope::from_document(std::move(document).value(),
+                                         envelope_limits_);
   }
-
-  auto envelope =
-      soap::Envelope::parse(envelope_xml, parse_limits_, envelope_limits_);
-  if (!envelope.ok()) return envelope.error();
-  return parse_request_envelope(envelope.value(), envelope_xml.size());
+  // Identity parses the HTTP body where it lies: no copy on the path every
+  // uncompressed exchange takes.
+  std::string inflated;
+  std::string_view text = wire;
+  if (codec.name() != "identity") {
+    auto plain = codec.decode(wire, decoded_budget);
+    if (!plain.ok()) return plain.wrap_error(what);
+    inflated = std::move(plain).value();
+    text = inflated;
+  }
+  if (request) {
+    // Pre-parse deadline shed (SEDA stage boundary 1): a bounded substring
+    // scan over the text — if the client's budget is already spent,
+    // answering DeadlineExceeded now beats paying the parse stage for an
+    // answer nobody is waiting for.
+    const TimePoint now = RealClock::instance().now();
+    if (auto scanned = resilience::Deadline::scan(text, now);
+        scanned && scanned->expired(now)) {
+      return Error(ErrorCode::kDeadlineExceeded,
+                   "deadline expired before parse stage");
+    }
+  }
+  return soap::Envelope::parse(text, parse_limits_, envelope_limits_);
 }
 
-Result<wire::ParsedRequest> Dispatcher::parse_request_document(
-    xml::Document document, std::uint64_t wire_bytes) {
-  auto envelope =
-      soap::Envelope::from_document(std::move(document), envelope_limits_);
-  if (!envelope.ok()) return envelope.error();
-  return parse_request_envelope(envelope.value(), wire_bytes);
-}
-
-Result<wire::ParsedRequest> Dispatcher::parse_request_envelope(
-    const soap::Envelope& envelope, std::uint64_t wire_bytes) {
+Result<wire::ParsedRequest> Dispatcher::parse_request(
+    const codec::WireCodec& codec, std::string_view wire,
+    size_t decoded_budget) {
+  auto decoded = decode_envelope(codec, wire, decoded_budget, true);
+  if (!decoded.ok()) return decoded.error();
+  const soap::Envelope& envelope = decoded.value();
   if (verifier_) {
     const xml::Element* security = nullptr;
     for (const xml::Element* block : envelope.header_blocks) {
@@ -71,7 +71,7 @@ Result<wire::ParsedRequest> Dispatcher::parse_request_envelope(
     envelopes_.fetch_add(1, std::memory_order_relaxed);
     if (parsed.value().packed) {
       packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-      pack_cost_.charge(wire_bytes, parsed.value().calls.size());
+      pack_cost_.charge(wire.size(), parsed.value().calls.size());
     }
     if (auto trace = telemetry::TraceContext::from_header_blocks(
             envelope.header_blocks)) {
@@ -287,27 +287,17 @@ std::vector<IndexedOutcome> Dispatcher::execute_plan_request(
 }
 
 Result<wire::ParsedResponse> Dispatcher::parse_response(
-    std::string_view envelope_xml) {
-  auto envelope = soap::Envelope::parse(envelope_xml);
-  if (!envelope.ok()) return envelope.error();
-  return parse_response_envelope(envelope.value(), envelope_xml.size());
-}
-
-Result<wire::ParsedResponse> Dispatcher::parse_response_document(
-    xml::Document document, std::uint64_t wire_bytes) {
-  auto envelope = soap::Envelope::from_document(std::move(document));
-  if (!envelope.ok()) return envelope.error();
-  return parse_response_envelope(envelope.value(), wire_bytes);
-}
-
-Result<wire::ParsedResponse> Dispatcher::parse_response_envelope(
-    const soap::Envelope& envelope, std::uint64_t wire_bytes) {
+    const codec::WireCodec& codec, std::string_view wire,
+    size_t decoded_budget) {
+  auto decoded = decode_envelope(codec, wire, decoded_budget, false);
+  if (!decoded.ok()) return decoded.error();
+  const soap::Envelope& envelope = decoded.value();
   auto parsed = wire::parse_response(envelope);
   if (parsed.ok()) {
     envelopes_.fetch_add(1, std::memory_order_relaxed);
     if (parsed.value().packed) {
       packed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-      pack_cost_.charge(wire_bytes, parsed.value().outcomes.size());
+      pack_cost_.charge(wire.size(), parsed.value().outcomes.size());
     }
     if (auto trace = telemetry::TraceContext::from_header_blocks(
             envelope.header_blocks)) {

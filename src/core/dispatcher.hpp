@@ -8,6 +8,7 @@
 #include <atomic>
 #include <optional>
 
+#include "codec/wire_codec.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "core/pack_cost.hpp"
 #include "core/registry.hpp"
@@ -40,12 +41,9 @@ class Dispatcher {
   /// `verifier` (optional, unowned): when set, every inbound request
   /// envelope must carry a valid wsse:Security header. `pack_cost` models
   /// the testbed's packed-envelope parse overhead (pack_cost.hpp).
-  /// `streaming` selects the single-pass request parser
-  /// (wire::parse_request_streaming) where applicable: no WS-Security and
-  /// not a Remote_Execution body; those fall back to the DOM path.
   explicit Dispatcher(soap::WsseVerifier* verifier = nullptr,
-                      PackCostModel pack_cost = {}, bool streaming = false)
-      : verifier_(verifier), pack_cost_(pack_cost), streaming_(streaming) {}
+                      PackCostModel pack_cost = {})
+      : verifier_(verifier), pack_cost_(pack_cost) {}
 
   /// Installs the resource-governance bounds (DESIGN.md §11). Parse limits
   /// bound the tokenizer on every parse path; envelope limits bound message
@@ -57,20 +55,25 @@ class Dispatcher {
     envelope_limits_ = envelope_limits;
   }
 
-  const xml::ParseLimits& parse_limits() const { return parse_limits_; }
-  const soap::EnvelopeLimits& envelope_limits() const {
-    return envelope_limits_;
+  /// Server side, step 1: the inbound codec boundary. Turns a request body
+  /// as it came off the wire, in `codec`'s encoding, into the validated
+  /// request — the one place the codec decision is made:
+  ///   * identity parses `wire` in place;
+  ///   * a text codec (deflate) inflates it under `decoded_budget`, then
+  ///     parses the text;
+  ///   * a document codec (bxml) decodes straight to a DOM.
+  /// Text bodies are first scanned for an spi:Deadline that has already
+  /// passed: such a request fails with kDeadlineExceeded before the parse
+  /// stage pays for it (bxml's deadline is enforced at the execute stage).
+  /// A packed request is charged the pack cost once, at wire.size().
+  Result<wire::ParsedRequest> parse_request(const codec::WireCodec& codec,
+                                            std::string_view wire,
+                                            size_t decoded_budget);
+
+  /// Identity shorthand: a text envelope parsed in place.
+  Result<wire::ParsedRequest> parse_request(std::string_view envelope_xml) {
+    return parse_request(codec::identity_codec(), envelope_xml, 0);
   }
-
-  /// Server side, step 1: parse + validate a request envelope document.
-  Result<wire::ParsedRequest> parse_request(std::string_view envelope_xml);
-
-  /// Same, starting from a Document a binary wire codec (bxml) already
-  /// built — the text tokenizer never runs. `wire_bytes` is the encoded
-  /// size on the wire, which is what the pack-cost model charges (the
-  /// bytes the modeled stack would have copied through its handlers).
-  Result<wire::ParsedRequest> parse_request_document(xml::Document document,
-                                                     std::uint64_t wire_bytes);
 
   /// Server side, step 2: fan the calls out to `pool` worker threads, wait
   /// for all of them (WaitGroup fan-in), and return outcomes in request
@@ -81,12 +84,17 @@ class Dispatcher {
                                       const ServiceRegistry& registry,
                                       ThreadPool* pool);
 
-  /// Client side, step 1: parse a response envelope document.
-  Result<wire::ParsedResponse> parse_response(std::string_view envelope_xml);
+  /// Client side, step 1: the response twin of the codec entry above
+  /// (same three codec paths and wire-size pack-cost charge; responses
+  /// carry no deadline to scan).
+  Result<wire::ParsedResponse> parse_response(const codec::WireCodec& codec,
+                                              std::string_view wire,
+                                              size_t decoded_budget);
 
-  /// Document-path twin of parse_response (see parse_request_document).
-  Result<wire::ParsedResponse> parse_response_document(
-      xml::Document document, std::uint64_t wire_bytes);
+  /// Identity shorthand: a text envelope parsed in place.
+  Result<wire::ParsedResponse> parse_response(std::string_view envelope_xml) {
+    return parse_response(codec::identity_codec(), envelope_xml, 0);
+  }
 
   /// Client side, step 2: route outcomes back into request order.
   /// Validates that ids form exactly {0..expected_calls-1}; a missing or
@@ -108,17 +116,15 @@ class Dispatcher {
       const wire::ParsedRequest& request, const ServiceRegistry& registry,
       ThreadPool* pool);
 
-  /// Shared tail of the request parse paths: WS-Security verification,
-  /// wire-format extraction, pack-cost charge on `wire_bytes`, and
-  /// trace/deadline header pickup.
-  Result<wire::ParsedRequest> parse_request_envelope(
-      const soap::Envelope& envelope, std::uint64_t wire_bytes);
-  Result<wire::ParsedResponse> parse_response_envelope(
-      const soap::Envelope& envelope, std::uint64_t wire_bytes);
+  /// Decodes `wire` per `codec` into an envelope under this dispatcher's
+  /// limits; `request` selects the pre-parse deadline scan and the
+  /// direction named in decode errors.
+  Result<soap::Envelope> decode_envelope(const codec::WireCodec& codec,
+                                         std::string_view wire,
+                                         size_t decoded_budget, bool request);
 
   soap::WsseVerifier* verifier_;
   PackCostModel pack_cost_;
-  bool streaming_;
   xml::ParseLimits parse_limits_;
   soap::EnvelopeLimits envelope_limits_;
   std::atomic<std::uint64_t> envelopes_{0};

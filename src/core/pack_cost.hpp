@@ -12,7 +12,12 @@
 // crossover we are reproducing.
 //
 // The model charges ns_per_byte on each packed envelope at each of the four
-// handling points (client pack, server unpack, server pack, client unpack).
+// handling points (client pack, server unpack, server pack, client unpack),
+// always on the envelope's WIRE size: with a wire codec the bytes that
+// cross the modeled handler chain are the encoded ones, not the text the
+// Assembler produced. Pack-side charges are therefore made after encoding
+// (Assembler::charge_pack_cost), unpack-side ones by the Dispatcher's
+// codec entry, which sees the body as it came off the wire.
 // Zero (the default everywhere except the calibrated benchmarks) disables
 // it; bench_ablation_packcost measures the native C++ behaviour against the
 // calibrated one. See DESIGN.md §2 for the substitution rationale.
@@ -24,8 +29,6 @@
 #include "common/clock.hpp"
 
 namespace spi::core {
-
-class PackCostDeferral;
 
 struct PackCostModel {
   /// Extra per-byte handling cost for packed envelopes. 0 = disabled.
@@ -47,14 +50,9 @@ struct PackCostModel {
 
   bool enabled() const { return ns_per_byte > 0.0 || us_per_call > 0.0; }
 
-  /// Charges one pass over a packed body of `bytes` carrying `calls`
-  /// requests or responses. When a PackCostDeferral is active on this
-  /// thread the charge is captured instead of slept, so a wire codec can
-  /// later replay it against the ENCODED byte count (the bytes the modeled
-  /// Java stack would actually have copied through its handler chain).
-  void charge(std::uint64_t bytes, std::uint64_t calls) const;
-
-  void charge_now(std::uint64_t bytes, std::uint64_t calls) const {
+  /// Charges one pass over a packed body of `bytes` (its wire size)
+  /// carrying `calls` requests or responses.
+  void charge(std::uint64_t bytes, std::uint64_t calls) const {
     if (!enabled()) return;
     double ns = ns_per_byte * static_cast<double>(bytes) +
                 us_per_call * 1e3 * static_cast<double>(calls);
@@ -62,74 +60,5 @@ struct PackCostModel {
     clock->sleep_for(Duration(static_cast<Duration::rep>(std::llround(ns))));
   }
 };
-
-/// RAII capture slot for PackCostModel charges on the current thread.
-///
-/// The figure benches calibrate the pack-handling cost as linear in the
-/// bytes the 2006 stack copied per pass. With a wire codec, the bytes that
-/// cross the handler chain are the ENCODED ones, not the text envelope the
-/// Assembler produced — so codec-aware call sites install a deferral around
-/// assemble/parse and replay the captured charge with the wire byte count.
-/// If the scope exits without replay (error paths), the destructor charges
-/// the originally captured bytes so no cost is silently dropped.
-class PackCostDeferral {
- public:
-  PackCostDeferral() : previous_(current_) { current_ = this; }
-  ~PackCostDeferral() {
-    if (captured_ && !replayed_) model_.charge_now(bytes_, calls_);
-    current_ = previous_;
-  }
-  PackCostDeferral(const PackCostDeferral&) = delete;
-  PackCostDeferral& operator=(const PackCostDeferral&) = delete;
-
-  /// Charges the captured pass against `wire_bytes` instead of the bytes
-  /// originally passed to PackCostModel::charge. No-op when nothing was
-  /// captured (identity path or disabled model).
-  void replay(std::uint64_t wire_bytes) {
-    if (!captured_ || replayed_) return;
-    replayed_ = true;
-    model_.charge_now(wire_bytes, calls_);
-  }
-
-  bool captured() const { return captured_; }
-  std::uint64_t captured_bytes() const { return bytes_; }
-  std::uint64_t captured_calls() const { return calls_; }
-
- private:
-  friend struct PackCostModel;
-
-  void capture(const PackCostModel& model, std::uint64_t bytes,
-               std::uint64_t calls) {
-    // One capture per scope: a nested second charge (not expected on any
-    // current path) is paid immediately rather than overwriting the slot.
-    if (captured_) {
-      model.charge_now(bytes, calls);
-      return;
-    }
-    captured_ = true;
-    model_ = model;
-    bytes_ = bytes;
-    calls_ = calls;
-  }
-
-  static inline thread_local PackCostDeferral* current_ = nullptr;
-
-  PackCostDeferral* previous_ = nullptr;
-  PackCostModel model_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t calls_ = 0;
-  bool captured_ = false;
-  bool replayed_ = false;
-};
-
-inline void PackCostModel::charge(std::uint64_t bytes,
-                                  std::uint64_t calls) const {
-  if (!enabled()) return;
-  if (PackCostDeferral::current_ != nullptr) {
-    PackCostDeferral::current_->capture(*this, bytes, calls);
-    return;
-  }
-  charge_now(bytes, calls);
-}
 
 }  // namespace spi::core

@@ -6,7 +6,6 @@
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
 #include "common/timeout.hpp"
-#include "resilience/deadline.hpp"
 #include "soap/wsdl.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/trace.hpp"
@@ -21,21 +20,20 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
                          ? nullptr
                          : std::make_unique<telemetry::MetricsRegistry>()),
       metrics_(options_.metrics ? options_.metrics : owned_metrics_.get()),
+      codecs_(options_.codecs ? options_.codecs
+                              : &codec::CodecRegistry::builtin()),
+      response_cache_(options_.response_cache_capacity > 0
+                          ? std::make_unique<codec::EncodedResponseCache>(
+                                codec::EncodedResponseCache::Options{
+                                    options_.response_cache_capacity})
+                          : nullptr),
+      response_encoder_(*codecs_, *metrics_, response_cache_.get()),
       verifier_(options_.wsse ? std::make_unique<soap::WsseVerifier>(
                                     *options_.wsse)
                               : nullptr),
-      dispatcher_(verifier_.get(), options_.pack_cost,
-                  options_.streaming_parse),
+      dispatcher_(verifier_.get(), options_.pack_cost),
       assembler_(nullptr, options_.pack_cost) {
   dispatcher_.set_limits(options_.parse_limits, options_.envelope_limits);
-  codecs_ =
-      options_.codecs ? options_.codecs : &codec::CodecRegistry::builtin();
-  if (options_.response_cache_capacity > 0) {
-    codec::EncodedResponseCache::Options cache_options;
-    cache_options.capacity = options_.response_cache_capacity;
-    response_cache_ =
-        std::make_unique<codec::EncodedResponseCache>(cache_options);
-  }
   if (options_.adaptive_limit) {
     adaptive_limiter_ =
         std::make_unique<AdaptiveLimiter>(*options_.adaptive_limit);
@@ -77,28 +75,15 @@ SpiServer::SpiServer(net::Transport& transport, net::Endpoint at,
                             "limit (DESIGN.md §11)",
                             "limit=\"" + std::string(limit) + "\""));
   }
-  // Wire-codec telemetry (DESIGN.md §14): bytes crossing the codec
-  // boundary and the outcome of each response negotiation, per codec.
-  codec_fallbacks_ = &reg.counter(
-      "spi_codec_fallbacks_total",
-      "Accept-Encoding advertisements that matched no registered codec "
-      "(response fell back to identity)");
+  // Wire-codec telemetry (DESIGN.md §14): encoded request bytes per codec;
+  // the response side's negotiation and byte counters are
+  // response_encoder_'s.
   for (const std::string& name : codecs_->names()) {
-    const std::string label = "codec=\"" + name + "\"";
-    codec_negotiations_.emplace(
-        name, &reg.counter("spi_codec_negotiations_total",
-                           "Response codec negotiations by chosen codec",
-                           label));
-    codec_encoded_bytes_.emplace(
-        name, &reg.counter("spi_codec_encoded_bytes_total",
-                           "Encoded response-body bytes put on the wire, "
-                           "by codec",
-                           label));
     codec_decoded_bytes_.emplace(
         name, &reg.counter("spi_codec_decoded_bytes_total",
                            "Encoded request-body bytes accepted for "
                            "decode, by codec",
-                           label));
+                           "codec=\"" + name + "\""));
   }
   span_parse_ = &reg.histogram(
       "spi_server_stage_seconds",
@@ -386,51 +371,6 @@ telemetry::Counter* SpiServer::limit_rejection_counter(
   return found == limit_counters_.end() ? nullptr : found->second;
 }
 
-const codec::WireCodec& SpiServer::negotiate_response_codec(
-    const http::Request& request) {
-  auto accept = request.headers.get("Accept-Encoding");
-  if (!accept) return codec::identity_codec();
-  auto entries = http::parse_accept_encoding(*accept);
-  std::vector<codec::CodecPreference> preferences;
-  preferences.reserve(entries.size());
-  for (http::AcceptEncodingEntry& entry : entries) {
-    preferences.push_back({std::move(entry.name), entry.q});
-  }
-  bool fell_back = false;
-  const codec::WireCodec& chosen = codecs_->negotiate(preferences, &fell_back);
-  if (fell_back) codec_fallbacks_->inc();
-  if (auto found = codec_negotiations_.find(chosen.name());
-      found != codec_negotiations_.end()) {
-    found->second->inc();
-  }
-  return chosen;
-}
-
-std::string SpiServer::encode_response(const codec::WireCodec& codec,
-                                       std::string plain,
-                                       std::string* applied) {
-  applied->clear();
-  if (codec.name() == "identity") return plain;
-  std::optional<std::string> encoded;
-  if (response_cache_) encoded = response_cache_->get(codec.name(), plain);
-  if (!encoded) {
-    auto result = codec.encode(plain);
-    // Encode failure falls back to identity text: compression is an
-    // optimization, never a reason to fault a message that executed.
-    if (!result.ok()) return plain;
-    encoded = std::move(result).value();
-    if (response_cache_) {
-      response_cache_->put(codec.name(), plain, *encoded);
-    }
-  }
-  *applied = std::string(codec.name());
-  if (auto found = codec_encoded_bytes_.find(codec.name());
-      found != codec_encoded_bytes_.end()) {
-    found->second->inc(encoded->size());
-  }
-  return std::move(*encoded);
-}
-
 bool SpiServer::admission_saturated() const {
   return options_.max_concurrent_messages > 0 &&
          in_flight_.load(std::memory_order_relaxed) >=
@@ -520,91 +460,38 @@ http::Response SpiServer::handle(const http::Request& request) {
   // the codec that turns this body back into an envelope. Unknown codings
   // are 415 — the client mislabeled its bytes, parsing them as XML could
   // only produce a confusing parse error.
-  const codec::WireCodec* request_codec = &codec::identity_codec();
-  if (auto coding = request.headers.get("Content-Encoding")) {
-    const codec::WireCodec* found = codecs_->find(*coding);
-    if (!found) {
-      return respond_fault(
-          Error(ErrorCode::kInvalidArgument,
-                "unsupported Content-Encoding: " + std::string(*coding)),
-          415);
-    }
-    request_codec = found;
-  }
-  const bool encoded_request = request_codec->name() != "identity";
-  const size_t decoded_budget = options_.max_decoded_body_bytes > 0
-                                    ? options_.max_decoded_body_bytes
-                                    : options_.http_limits.max_body_bytes;
-  if (encoded_request) {
-    if (auto found = codec_decoded_bytes_.find(request_codec->name());
+  auto request_codec = content_codec(request.headers, *codecs_);
+  if (!request_codec.ok()) return respond_fault(request_codec.error(), 415);
+  const codec::WireCodec& wire_codec = *request_codec.value();
+  if (wire_codec.name() != "identity") {
+    if (auto found = codec_decoded_bytes_.find(wire_codec.name());
         found != codec_decoded_bytes_.end()) {
       found->second->inc(request.body.size());
     }
   }
-  // Text codecs (deflate) inflate here, under the decoded-bytes budget, so
-  // the deadline scan below still sees text; bxml goes straight to a
-  // Document inside the parse span and skips the scan (its deadline header
-  // is still enforced at the execute-stage boundary).
-  std::string decoded_body;
-  if (encoded_request && !request_codec->decodes_to_document()) {
-    auto plain = request_codec->decode(request.body, decoded_budget);
-    if (!plain.ok()) {
-      SPI_LOG(kDebug, "spi.server")
-          << "rejecting request: " << plain.error().to_string();
-      if (telemetry::Counter* counter =
-              limit_rejection_counter(plain.error().message())) {
-        counter->inc();
-      }
-      return respond_fault(plain.error(), 400);
-    }
-    decoded_body = std::move(plain).value();
-  }
-  const std::string_view text_body =
-      encoded_request ? std::string_view(decoded_body)
-                      : std::string_view(request.body);
+  const size_t decoded_budget = options_.max_decoded_body_bytes > 0
+                                    ? options_.max_decoded_body_bytes
+                                    : options_.http_limits.max_body_bytes;
 
-  // Pre-parse deadline shed (SEDA stage boundary 1): a bounded substring
-  // scan over the raw document — if the client's budget is already spent,
-  // answering DeadlineExceeded now beats paying the parse stage for an
-  // answer nobody is waiting for. Also the only deadline check the
-  // streaming-parse path's headers ever get.
-  if (!encoded_request || !request_codec->decodes_to_document()) {
-    const TimePoint now = RealClock::instance().now();
-    if (auto scanned = resilience::Deadline::scan(text_body, now);
-        scanned && scanned->expired(now)) {
-      deadline_shed_pre_parse_.fetch_add(1, std::memory_order_relaxed);
-      return respond_fault(Error(ErrorCode::kDeadlineExceeded,
-                                 "deadline expired before parse stage"),
-                           504);
-    }
-  }
-
+  // Decode (inflate, or bxml straight to a DOM) and parse, inside the
+  // parse span. A text body whose deadline has already passed comes back
+  // as DeadlineExceeded before the tokenizer runs: the pre-parse shed.
   telemetry::ScopedSpan parse_span(span_parse_);
-  auto parsed = [&]() -> Result<wire::ParsedRequest> {
-    if (!encoded_request) return dispatcher_.parse_request(request.body);
-    if (request_codec->decodes_to_document()) {
-      auto document = request_codec->decode_document(
-          request.body, decoded_budget, options_.parse_limits);
-      if (!document.ok()) return document.wrap_error("decode request");
-      return dispatcher_.parse_request_document(std::move(document).value(),
-                                                request.body.size());
-    }
-    // The tokenizer runs over the inflated text, but the modeled handler
-    // stack only ever copied the wire bytes — capture the parse charge and
-    // replay it at the encoded size.
-    PackCostDeferral deferral;
-    auto result = dispatcher_.parse_request(decoded_body);
-    deferral.replay(request.body.size());
-    return result;
-  }();
+  auto parsed =
+      dispatcher_.parse_request(wire_codec, request.body, decoded_budget);
   parse_span.stop();
   if (!parsed.ok()) {
+    if (parsed.error().code() == ErrorCode::kDeadlineExceeded) {
+      deadline_shed_pre_parse_.fetch_add(1, std::memory_order_relaxed);
+      return respond_fault(parsed.error(), 504);
+    }
     SPI_LOG(kDebug, "spi.server")
         << "rejecting request: " << parsed.error().to_string();
     // Resource-governance rejections ("parse limit exceeded: depth ...",
-    // "envelope limit exceeded: body-entries ...") are counted per limit.
-    // They stay HTTP 400 without Retry-After: the message itself is over
-    // the bound, so replaying it unchanged cannot succeed.
+    // "envelope limit exceeded: body-entries ...", a decoded-bytes bomb)
+    // are counted per limit. They stay HTTP 400 without Retry-After: the
+    // message itself is over the bound, so replaying it unchanged cannot
+    // succeed.
     if (telemetry::Counter* counter =
             limit_rejection_counter(parsed.error().message())) {
       counter->inc();
@@ -618,7 +505,7 @@ http::Response SpiServer::handle(const http::Request& request) {
   // Only the success-path envelope below is encoded; fault and shed
   // responses stay identity text (a client that cannot decode its error
   // would be stuck).
-  const codec::WireCodec& response_codec = negotiate_response_codec(request);
+  const codec::WireCodec& response_codec = response_encoder_.negotiate(request);
 
   // The incoming trace (if the client injected one) scopes execution and
   // assembly: handlers see it in their CallContext, the Assembler echoes
@@ -713,31 +600,17 @@ http::Response SpiServer::handle(const http::Request& request) {
   const ServiceCall& single_call = parsed.value().calls.empty()
                                        ? kNoCall
                                        : parsed.value().calls.front().call;
-  std::string body;
-  std::string content_encoding;
-  {
-    // Capture the assemble charge and replay it at the size that actually
-    // crosses the wire (the encoded body when a codec was negotiated).
-    PackCostDeferral deferral;
-    body = encode_response(
-        response_codec,
-        assembler_.assemble_response(outcomes, single_call,
-                                     parsed.value().packed),
-        &content_encoding);
-    deferral.replay(body.size());
-  }
-  assemble_span.stop();
-
   // Per-call faults ride inside a 200 for packed messages; a traditional
   // single-call fault surfaces as HTTP 500 like classic SOAP stacks.
-  int status = 200;
-  if (!parsed.value().packed && !outcomes.front().outcome.ok()) {
-    status = 500;
-  }
-  http::Response response = http::Response::make(
-      status, http::default_reason(status), std::move(body), "text/xml");
-  if (!content_encoding.empty()) {
-    response.headers.set("Content-Encoding", content_encoding);
+  const bool packed = parsed.value().packed;
+  const int status = !packed && !outcomes.front().outcome.ok() ? 500 : 200;
+  http::Response response = response_encoder_.respond(
+      status, response_codec,
+      assembler_.assemble_response(outcomes, single_call, packed));
+  // Charged at the size that crosses the wire (the encoded body when a
+  // codec was negotiated).
+  if (packed) {
+    assembler_.charge_pack_cost(response.body.size(), outcomes.size());
   }
   return response;
 }

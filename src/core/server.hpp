@@ -28,6 +28,7 @@
 #include "codec/response_cache.hpp"
 #include "concurrency/adaptive_limiter.hpp"
 #include "core/assembler.hpp"
+#include "core/codec_boundary.hpp"
 #include "core/handlers.hpp"
 #include "core/dispatcher.hpp"
 #include "core/registry.hpp"
@@ -69,10 +70,6 @@ struct ServerOptions {
 
   /// Calibrated packed-message handling overhead (see core/pack_cost.hpp).
   PackCostModel pack_cost;
-
-  /// Use the single-pass streaming request parser where applicable
-  /// (no WSSE, not a plan). Functionally identical; skips the DOM.
-  bool streaming_parse = false;
 
   /// Admission control (SEDA well-conditioning): messages being executed
   /// concurrently beyond this bound are rejected with HTTP 503 + a Server
@@ -192,21 +189,14 @@ class SpiServer {
   /// Maps a rejection message carrying "limit exceeded: <limit>" to its
   /// spi_limit_rejections_total{limit=...} counter (null if unrecognized).
   telemetry::Counter* limit_rejection_counter(std::string_view message);
-  /// Negotiates the response codec from the request's Accept-Encoding
-  /// header (absent/unknown → identity), counting the choice and any
-  /// fallback.
-  const codec::WireCodec& negotiate_response_codec(
-      const http::Request& request);
-  /// Encodes an assembled response body with `codec` (through the response
-  /// cache when enabled). Returns the plain text unchanged — and leaves
-  /// *applied empty — for identity or on encode failure.
-  std::string encode_response(const codec::WireCodec& codec,
-                              std::string plain, std::string* applied);
 
   const ServiceRegistry& registry_;
   ServerOptions options_;
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  const codec::CodecRegistry* codecs_ = nullptr;  // never null
+  std::unique_ptr<codec::EncodedResponseCache> response_cache_;
+  ResponseEncoder response_encoder_;
   std::unique_ptr<soap::WsseVerifier> verifier_;
   Dispatcher dispatcher_;
   Assembler assembler_;
@@ -221,11 +211,6 @@ class SpiServer {
   telemetry::Counter* shed_concurrency_ = nullptr;
   telemetry::Counter* shed_adaptive_ = nullptr;
   std::map<std::string, telemetry::Counter*, std::less<>> limit_counters_;
-  const codec::CodecRegistry* codecs_ = nullptr;  // never null after ctor
-  std::unique_ptr<codec::EncodedResponseCache> response_cache_;
-  telemetry::Counter* codec_fallbacks_ = nullptr;  // registry-owned
-  std::map<std::string, telemetry::Counter*, std::less<>> codec_negotiations_;
-  std::map<std::string, telemetry::Counter*, std::less<>> codec_encoded_bytes_;
   std::map<std::string, telemetry::Counter*, std::less<>> codec_decoded_bytes_;
   telemetry::Histogram* span_parse_ = nullptr;          // registry-owned
   telemetry::Histogram* span_execute_ = nullptr;

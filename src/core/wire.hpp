@@ -65,13 +65,12 @@ struct ParsedRequest {
   RemotePlan plan;                 // kPlan only
 
   /// Trace context from the request's spi:Trace header block, if any
-  /// (telemetry/trace.hpp). Extracted by Dispatcher::parse_request; the
-  /// streaming parser skips headers, so it stays empty on that path.
+  /// (telemetry/trace.hpp). Extracted by Dispatcher::parse_request.
   telemetry::TraceContext trace;
 
   /// Deadline from the request's spi:Deadline header block, re-anchored to
-  /// this host's clock at parse time (resilience/deadline.hpp). The
-  /// streaming parser recovers it via Deadline::scan on the raw document.
+  /// this host's clock at parse time by Dispatcher::parse_request
+  /// (resilience/deadline.hpp).
   resilience::Deadline deadline;
 
   /// Number of operations this request will execute.
@@ -83,16 +82,6 @@ struct ParsedRequest {
 /// Parses a request body (auto-detects packed / plan / traditional — the
 /// "no change to services code" property: old-style clients keep working).
 Result<ParsedRequest> parse_request(const soap::Envelope& envelope);
-
-/// Single-pass streaming variant over the raw envelope document: no DOM is
-/// built (§2.2-style parsing optimization; soap/streaming.hpp). Header
-/// blocks are skipped, so it cannot serve WS-Security deployments —
-/// Dispatcher falls back to the DOM path there. Remote_Execution bodies
-/// also fall back (plans are small; the win is on packed batches).
-/// Property-tested equivalent to the DOM path on its supported shapes.
-/// `limits` bounds the tokenizer exactly like the DOM path's.
-Result<ParsedRequest> parse_request_streaming(
-    std::string_view envelope_xml, const xml::ParseLimits& limits = {});
 
 /// Serializes a Remote_Execution body entry (see remote_plan.hpp).
 std::string serialize_plan_request(const RemotePlan& plan);

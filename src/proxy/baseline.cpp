@@ -1,18 +1,38 @@
 #include "proxy/baseline.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "soap/envelope.hpp"
 
 namespace spi::proxy {
 
+namespace {
+
+Reactor::Options forwarding_reactor_options() {
+  Reactor::Options options;
+  options.name = "spi-rr-forward";
+  return options;
+}
+
+http::AsyncClientOptions forwarding_client_options(
+    const RoundRobinOptions& options) {
+  http::AsyncClientOptions client;
+  // Each protocol thread has at most one forward in flight, so this many
+  // connections per backend never queue an exchange.
+  client.max_connections_per_endpoint =
+      std::max<size_t>(1, options.protocol_threads);
+  client.limits = options.http_limits;
+  return client;
+}
+
+}  // namespace
+
 RoundRobinProxy::RoundRobinProxy(net::Transport& transport, net::Endpoint at,
                                  RoundRobinOptions options)
-    : transport_(transport), options_(std::move(options)) {
-  for (const net::Endpoint& endpoint : options_.backends) {
-    auto backend = std::make_unique<Backend>();
-    backend->endpoint = endpoint;
-    backends_.push_back(std::move(backend));
-  }
+    : options_(std::move(options)),
+      reactor_(forwarding_reactor_options()),
+      http_(reactor_, transport, forwarding_client_options(options_)) {
   http::ServerOptions http_options;
   http_options.protocol_threads = options_.protocol_threads;
   http_options.reactor_threads = options_.reactor_threads;
@@ -25,37 +45,19 @@ RoundRobinProxy::RoundRobinProxy(net::Transport& transport, net::Endpoint at,
 
 RoundRobinProxy::~RoundRobinProxy() { stop(); }
 
-Status RoundRobinProxy::start() { return http_server_->start(); }
+Status RoundRobinProxy::start() {
+  if (!reactor_.running()) reactor_.start();
+  return http_server_->start();
+}
 
-void RoundRobinProxy::stop() { http_server_->stop(); }
+void RoundRobinProxy::stop() {
+  // Handler threads are the only senders: stop them before the loop.
+  http_server_->stop();
+  reactor_.stop();
+}
 
 net::Endpoint RoundRobinProxy::endpoint() const {
   return http_server_->endpoint();
-}
-
-std::unique_ptr<http::HttpClient> RoundRobinProxy::checkout(Backend& backend) {
-  {
-    std::lock_guard lock(backend.pool_mutex);
-    if (!backend.idle.empty()) {
-      auto http = std::move(backend.idle.back());
-      backend.idle.pop_back();
-      return http;
-    }
-  }
-  http::ClientOptions options;
-  options.keep_alive = true;
-  options.limits = options_.http_limits;
-  options.receive_timeout = options_.receive_timeout;
-  return std::make_unique<http::HttpClient>(transport_, backend.endpoint,
-                                            options);
-}
-
-void RoundRobinProxy::checkin(Backend& backend,
-                              std::unique_ptr<http::HttpClient> http) {
-  std::lock_guard lock(backend.pool_mutex);
-  if (backend.idle.size() < options_.max_pooled_connections_per_backend) {
-    backend.idle.push_back(std::move(http));
-  }
 }
 
 http::Response RoundRobinProxy::handle(const http::Request& request) {
@@ -64,29 +66,31 @@ http::Response RoundRobinProxy::handle(const http::Request& request) {
                                 "SOAP endpoint accepts POST only");
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (backends_.empty()) {
+  if (options_.backends.empty()) {
     return http::Response::make(503, "Service Unavailable", "no backends");
   }
-  Backend& backend =
-      *backends_[next_.fetch_add(1, std::memory_order_relaxed) %
-                 backends_.size()];
+  const net::Endpoint& backend =
+      options_.backends[next_.fetch_add(1, std::memory_order_relaxed) %
+                        options_.backends.size()];
 
   // Opaque byte forwarding: the body and the headers that describe it
   // cross unmodified — the baseline understands nothing about packs,
   // codecs, traces, or deadlines.
-  http::Headers forward;
+  http::Request forward;
+  forward.target = options_.target;
   for (const char* name :
        {"Content-Encoding", "Accept-Encoding", "SOAPAction"}) {
-    if (auto value = request.headers.get(name)) forward.set(name, *value);
+    if (auto value = request.headers.get(name)) {
+      forward.headers.set(name, *value);
+    }
   }
-  std::string content_type = "text/xml";
-  if (auto value = request.headers.get("Content-Type")) {
-    content_type = std::string(*value);
-  }
+  forward.headers.set("Content-Type",
+                      request.headers.get("Content-Type").value_or("text/xml"));
+  forward.body = request.body;
 
-  std::unique_ptr<http::HttpClient> http = checkout(backend);
   auto response =
-      http->post(options_.target, request.body, content_type, &forward);
+      http_.send_future(backend, std::move(forward), options_.receive_timeout)
+          .get();
   if (!response.ok()) {
     backend_errors_.fetch_add(1, std::memory_order_relaxed);
     std::string body = soap::build_envelope(
@@ -94,7 +98,6 @@ http::Response RoundRobinProxy::handle(const http::Request& request) {
     return http::Response::make(502, "Bad Gateway", std::move(body),
                                 "text/xml");
   }
-  checkin(backend, std::move(http));
 
   http::Response out = http::Response::make(
       response.value().status,

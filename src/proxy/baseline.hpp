@@ -6,14 +6,18 @@
 // and what the PackingProxy's goodput/tail-latency numbers are measured
 // against: the baseline cannot spread one M-call pack over K backends, so
 // a single pack's work always serializes on one member.
+//
+// Forwards ride one reactor-driven AsyncHttpClient (DESIGN.md §16), the
+// runtime every other SPI hop uses: keep-alive connections pooled per
+// backend, each handler thread waiting on its own exchange.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "http/client.hpp"
+#include "concurrency/reactor.hpp"
+#include "http/async_client.hpp"
 #include "http/server.hpp"
 #include "net/transport.hpp"
 
@@ -24,8 +28,6 @@ struct RoundRobinOptions {
   std::string target = "/spi";
   size_t protocol_threads = 8;
   size_t reactor_threads = 1;
-  /// Idle keep-alive connections retained per backend.
-  size_t max_pooled_connections_per_backend = 8;
   Duration receive_timeout = kNoTimeout;
   http::ParserLimits http_limits;
 };
@@ -50,20 +52,13 @@ class RoundRobinProxy {
   Stats stats() const;
 
  private:
-  struct Backend {
-    net::Endpoint endpoint;
-    std::mutex pool_mutex;
-    std::vector<std::unique_ptr<http::HttpClient>> idle;
-  };
-
   http::Response handle(const http::Request& request);
-  std::unique_ptr<http::HttpClient> checkout(Backend& backend);
-  void checkin(Backend& backend, std::unique_ptr<http::HttpClient> http);
 
-  net::Transport& transport_;
   RoundRobinOptions options_;
-  std::vector<std::unique_ptr<Backend>> backends_;
   std::atomic<size_t> next_{0};
+  /// Forwarding runtime: one loop thread for every backend exchange.
+  Reactor reactor_;
+  http::AsyncHttpClient http_;
   std::unique_ptr<http::HttpServer> http_server_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> backend_errors_{0};

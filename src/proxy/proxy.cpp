@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "concurrency/wait_group.hpp"
-#include "http/parser.hpp"
 #include "soap/envelope.hpp"
 #include "telemetry/trace.hpp"
 
@@ -46,24 +45,13 @@ PackingProxy::PackingProxy(net::Transport& transport, net::Endpoint at,
       metrics_(options_.metrics ? options_.metrics : owned_metrics_.get()),
       codecs_(options_.codecs ? options_.codecs
                               : &codec::CodecRegistry::builtin()),
+      response_encoder_(*codecs_, *metrics_),
       breakers_(options_.breaker),
-      dispatcher_(nullptr, {}, false),
-      assembler_(nullptr, {}),
       retry_after_value_(format_retry_after(options_.retry_after_hint)),
       ring_(options_.virtual_nodes) {
   dispatcher_.set_limits(options_.parse_limits, options_.envelope_limits);
 
   telemetry::MetricsRegistry& reg = *metrics_;
-  codec_fallbacks_ = &reg.counter(
-      "spi_codec_fallbacks_total",
-      "Accept-Encoding advertisements that matched no registered codec "
-      "(response fell back to identity)");
-  for (const std::string& name : codecs_->names()) {
-    codec_negotiations_.emplace(
-        name, &reg.counter("spi_codec_negotiations_total",
-                           "Response codec negotiations by chosen codec",
-                           "codec=\"" + name + "\""));
-  }
   fanout_width_ = &reg.histogram(
       "spi_proxy_fanout_width", "Calls carried per proxied message", {},
       telemetry::HistogramUnit::kNone);
@@ -243,39 +231,6 @@ std::string PackingProxy::route_key(const core::ServiceCall& call) const {
   // Operation affinity: every GetWeather lands on one backend, which is
   // what makes backend-local caches and specialization possible.
   return call.service + "/" + call.operation;
-}
-
-const codec::WireCodec& PackingProxy::negotiate_response_codec(
-    const http::Request& request) {
-  auto accept = request.headers.get("Accept-Encoding");
-  if (!accept) return codec::identity_codec();
-  auto entries = http::parse_accept_encoding(*accept);
-  std::vector<codec::CodecPreference> preferences;
-  preferences.reserve(entries.size());
-  for (http::AcceptEncodingEntry& entry : entries) {
-    preferences.push_back({std::move(entry.name), entry.q});
-  }
-  bool fell_back = false;
-  const codec::WireCodec& chosen = codecs_->negotiate(preferences, &fell_back);
-  if (fell_back) codec_fallbacks_->inc();
-  if (auto found = codec_negotiations_.find(chosen.name());
-      found != codec_negotiations_.end()) {
-    found->second->inc();
-  }
-  return chosen;
-}
-
-std::string PackingProxy::encode_response(const codec::WireCodec& codec,
-                                          std::string plain,
-                                          std::string* applied) {
-  applied->clear();
-  if (codec.name() == "identity") return plain;
-  auto encoded = codec.encode(plain);
-  // Encode failure falls back to identity text, same rule as the server:
-  // compression is an optimization, never a reason to fault a message.
-  if (!encoded.ok()) return plain;
-  *applied = std::string(codec.name());
-  return std::move(encoded).value();
 }
 
 void PackingProxy::scatter_all(std::vector<Group>& groups,
@@ -524,33 +479,23 @@ http::Response PackingProxy::handle(const http::Request& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   // --- client->proxy hop decode (DESIGN.md §14, independent per hop) ------
-  const codec::WireCodec* request_codec = &codec::identity_codec();
-  if (auto coding = request.headers.get("Content-Encoding")) {
-    const codec::WireCodec* found = codecs_->find(*coding);
-    if (!found) {
-      return respond_fault(
-          Error(ErrorCode::kInvalidArgument,
-                "unsupported Content-Encoding: " + std::string(*coding)),
-          415);
-    }
-    request_codec = found;
+  auto request_codec = core::content_codec(request.headers, *codecs_);
+  if (!request_codec.ok()) return respond_fault(request_codec.error(), 415);
+  auto parsed = dispatcher_.parse_request(*request_codec.value(), request.body,
+                                          options_.http_limits.max_body_bytes);
+  // If the origin budget is already spent, shed without touching a
+  // backend: a text body fails the pre-parse deadline scan, a bxml one is
+  // caught by its deadline, re-anchored to this host at parse time.
+  const bool dead_on_arrival =
+      parsed.ok()
+          ? parsed.value().deadline.expired(RealClock::instance().now())
+          : parsed.error().code() == ErrorCode::kDeadlineExceeded;
+  if (dead_on_arrival) {
+    deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+    return respond_fault(Error(ErrorCode::kDeadlineExceeded,
+                               "deadline expired at the proxy hop"),
+                         504);
   }
-  const size_t decoded_budget = options_.http_limits.max_body_bytes;
-  auto parsed = [&]() -> Result<core::wire::ParsedRequest> {
-    if (request_codec->name() == "identity") {
-      return dispatcher_.parse_request(request.body);
-    }
-    if (request_codec->decodes_to_document()) {
-      auto document = request_codec->decode_document(
-          request.body, decoded_budget, options_.parse_limits);
-      if (!document.ok()) return document.wrap_error("decode request");
-      return dispatcher_.parse_request_document(std::move(document).value(),
-                                                request.body.size());
-    }
-    auto plain = request_codec->decode(request.body, decoded_budget);
-    if (!plain.ok()) return plain.wrap_error("decode request");
-    return dispatcher_.parse_request(plain.value());
-  }();
   if (!parsed.ok()) {
     SPI_LOG(kDebug, "spi.proxy")
         << "rejecting request: " << parsed.error().to_string();
@@ -562,16 +507,7 @@ http::Response PackingProxy::handle(const http::Request& request) {
   // Response codec for the client hop, negotiated per request from the
   // ORIGIN client's Accept-Encoding — completely independent of what the
   // backend hop speaks.
-  const codec::WireCodec& response_codec = negotiate_response_codec(request);
-
-  // The deadline was re-anchored to this host at parse time; if the origin
-  // budget is already spent, shed without touching a backend.
-  if (message.deadline.expired(RealClock::instance().now())) {
-    deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-    return respond_fault(Error(ErrorCode::kDeadlineExceeded,
-                               "deadline expired at the proxy hop"),
-                         504);
-  }
+  const codec::WireCodec& response_codec = response_encoder_.negotiate(request);
 
   // Origin trace: echoed in the merged response (scope on this thread)
   // and continued as a child on every sub-pack. A trace-less origin still
@@ -622,17 +558,9 @@ http::Response PackingProxy::handle(const http::Request& request) {
                          std::move(plan_result.value()[i])});
     }
     static const core::ServiceCall kNoCall{};
-    std::string content_encoding;
-    std::string body =
-        encode_response(response_codec,
-                        assembler_.assemble_response(indexed, kNoCall, true),
-                        &content_encoding);
-    http::Response response =
-        http::Response::make(200, "OK", std::move(body), "text/xml");
-    if (!content_encoding.empty()) {
-      response.headers.set("Content-Encoding", content_encoding);
-    }
-    return response;
+    return response_encoder_.respond(
+        200, response_codec,
+        assembler_.assemble_response(indexed, kNoCall, true));
   }
 
   // --- group sub-calls by ring owner ------------------------------------
@@ -725,24 +653,15 @@ http::Response PackingProxy::handle(const http::Request& request) {
   static const core::ServiceCall kNoCall{};
   const core::ServiceCall& single_call =
       message.calls.empty() ? kNoCall : message.calls.front().call;
-  std::string content_encoding;
-  std::string body = encode_response(
-      response_codec,
-      assembler_.assemble_response(indexed, single_call, message.packed),
-      &content_encoding);
-
   // Per-call faults ride inside a 200 for packed messages; a traditional
   // single-call fault surfaces as HTTP 500 like classic SOAP stacks.
-  int status = 200;
-  if (!message.packed && !indexed.empty() && !indexed.front().outcome.ok()) {
-    status = 500;
-  }
-  http::Response response = http::Response::make(
-      status, http::default_reason(status), std::move(body), "text/xml");
-  if (!content_encoding.empty()) {
-    response.headers.set("Content-Encoding", content_encoding);
-  }
-  return response;
+  const int status =
+      !message.packed && !indexed.empty() && !indexed.front().outcome.ok()
+          ? 500
+          : 200;
+  return response_encoder_.respond(
+      status, response_codec,
+      assembler_.assemble_response(indexed, single_call, message.packed));
 }
 
 PackingProxy::Stats PackingProxy::stats() const {

@@ -41,6 +41,7 @@
 #include "concurrency/adaptive_limiter.hpp"
 #include "core/assembler.hpp"
 #include "core/client.hpp"
+#include "core/codec_boundary.hpp"
 #include "core/dispatcher.hpp"
 #include "http/server.hpp"
 #include "proxy/hash_ring.hpp"
@@ -230,19 +231,14 @@ class PackingProxy {
                         const telemetry::TraceContext& trace,
                         core::PackMode mode);
 
-  std::string encode_response(const codec::WireCodec& codec,
-                              std::string plain, std::string* applied);
-
   std::unique_ptr<Backend> make_backend(const net::Endpoint& endpoint);
-
-  const codec::WireCodec& negotiate_response_codec(
-      const http::Request& request);
 
   net::Transport& transport_;
   ProxyOptions options_;
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;
   telemetry::MetricsRegistry* metrics_;
   const codec::CodecRegistry* codecs_;
+  core::ResponseEncoder response_encoder_;  // client<->proxy hop
   resilience::CircuitBreakerSet breakers_;
   core::Dispatcher dispatcher_;  // client<->proxy hop: parse requests
   core::Assembler assembler_;    // client<->proxy hop: merge responses
@@ -274,9 +270,6 @@ class PackingProxy {
   std::atomic<std::uint64_t> local_sheds_{0};
   std::atomic<std::uint64_t> rebalanced_calls_{0};
 
-  telemetry::Counter* codec_fallbacks_ = nullptr;
-  std::map<std::string, telemetry::Counter*, std::less<>>
-      codec_negotiations_;
   telemetry::Histogram* fanout_width_ = nullptr;
   telemetry::Histogram* subpacks_per_request_ = nullptr;
 };

@@ -74,9 +74,9 @@ class Deadline {
       const std::vector<const xml::Element*>& blocks, TimePoint now);
 
   /// Cheap pre-parse scan: finds the <spi:Deadline> fragment in a raw
-  /// envelope document WITHOUT building a DOM, so the server can shed an
-  /// already-dead message before paying the parse stage for it (and so
-  /// the streaming parser, which skips headers, still sees deadlines).
+  /// envelope document WITHOUT building a DOM, so the Dispatcher's codec
+  /// entry can shed an already-dead message before paying the parse stage
+  /// for it.
   /// Returns nullopt when no well-formed fragment is present.
   static std::optional<Deadline> scan(std::string_view envelope_xml,
                                       TimePoint now);

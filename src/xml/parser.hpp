@@ -1,8 +1,8 @@
-// XML parsing, three APIs over one tokenizer:
-//   * PullParser — incremental token stream (used by the deserializer core)
-//   * parse_document — DOM builder (used by SOAP envelope handling)
-//   * parse_sax — callback driver (used by streaming consumers and the
-//     trie ablation bench)
+// XML parsing, two APIs over one tokenizer:
+//   * PullParser — incremental token stream (the bxml encoder reads it
+//     directly)
+//   * parse_document — DOM builder, the one parse path SOAP envelope
+//     handling takes
 // Covers the subset SOAP 1.1 needs: elements, attributes, character data,
 // CDATA, comments, PIs, the XML declaration, and the five predefined plus
 // numeric entities. No DTDs (SOAP forbids them).
@@ -216,23 +216,5 @@ struct Document {
 /// `limits` bounds what a hostile document may cost (see ParseLimits).
 Result<Document> parse_document(std::string_view input,
                                 const ParseLimits& limits = {});
-
-/// SAX-style callbacks. Default implementations ignore events. Views are
-/// only guaranteed for the duration of the callback.
-class SaxHandler {
- public:
-  virtual ~SaxHandler() = default;
-  virtual void on_start_element(std::string_view name,
-                                std::span<const Attribute> attributes) {
-    (void)name;
-    (void)attributes;
-  }
-  virtual void on_end_element(std::string_view name) { (void)name; }
-  virtual void on_text(std::string_view text) { (void)text; }
-};
-
-/// Drives a SaxHandler over the input. CDATA is reported via on_text.
-Status parse_sax(std::string_view input, SaxHandler& handler,
-                 const ParseLimits& limits = {});
 
 }  // namespace spi::xml

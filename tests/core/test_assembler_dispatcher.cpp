@@ -108,6 +108,9 @@ TEST(PackCostTest, DisabledModelChargesNothing) {
 }
 
 TEST(AssemblerTest, PackCostChargedOnlyForPackedEnvelopes) {
+  // Assembly itself is free: the pack cost is charged once the envelope
+  // has its wire size (charge_pack_cost), and callers charge only the
+  // envelopes assemble_request frames as Parallel_Method (packs()).
   ManualClock clock;
   PackCostModel model;
   model.us_per_call = 100.0;
@@ -116,11 +119,17 @@ TEST(AssemblerTest, PackCostChargedOnlyForPackedEnvelopes) {
 
   auto one = echo_calls(1);
   (void)assembler.assemble_request(one, PackMode::kSingle);
+  auto four = echo_calls(4);
+  std::string packed = assembler.assemble_request(four, PackMode::kPacked);
   EXPECT_EQ(clock.now().time_since_epoch(), Duration::zero());
 
-  auto four = echo_calls(4);
-  (void)assembler.assemble_request(four, PackMode::kPacked);
-  EXPECT_GE(clock.now().time_since_epoch(),
+  EXPECT_FALSE(packs(PackMode::kSingle, 1));
+  EXPECT_FALSE(packs(PackMode::kAuto, 1));
+  EXPECT_TRUE(packs(PackMode::kAuto, 4));
+  EXPECT_TRUE(packs(PackMode::kPacked, 1));
+
+  assembler.charge_pack_cost(packed.size(), four.size());
+  EXPECT_EQ(clock.now().time_since_epoch(),
             Duration(std::chrono::microseconds(400)));
 }
 

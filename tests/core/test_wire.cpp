@@ -113,6 +113,39 @@ TEST(WireRequestTest, RejectsForeignElementInParallelMethod) {
   EXPECT_FALSE(parse_request(envelope.value()).ok());
 }
 
+/// Raw text through both layers a request crosses: the envelope parse,
+/// then parse_request.
+Result<ParsedRequest> parse_text_request(std::string_view text) {
+  auto envelope = soap::Envelope::parse(text);
+  if (!envelope.ok()) return envelope.error();
+  return parse_request(envelope.value());
+}
+
+TEST(WireRequestTest, RejectsMalformedShapes) {
+  EXPECT_FALSE(parse_text_request("").ok());
+  EXPECT_FALSE(parse_text_request("<NotEnvelope/>").ok());
+  EXPECT_FALSE(parse_text_request("<Envelope><Header/></Envelope>").ok());
+  EXPECT_FALSE(parse_text_request("<Envelope><Body/></Envelope>").ok());
+  EXPECT_FALSE(parse_text_request("<Envelope><Body><spi:Parallel_Method>"
+                                  "<wrong/></spi:Parallel_Method></Body>"
+                                  "</Envelope>")
+                   .ok());
+  for (const char* call : {
+           R"(<spi:Call id="x" service="S" operation="O"/>)",
+           R"(<spi:Call id="4294967296" service="S" operation="O"/>)",
+           R"(<spi:Call id="0" operation="O"/>)",
+           R"(<spi:Call id="0" service="" operation="O"/>)",
+           R"(<spi:Call id="0" service="S"/>)",
+       }) {
+    EXPECT_FALSE(parse_text_request(
+                     soap::build_envelope("<spi:Parallel_Method>" +
+                                          std::string(call) +
+                                          "</spi:Parallel_Method>"))
+                     .ok())
+        << call;
+  }
+}
+
 // --- responses ----------------------------------------------------------------
 
 Result<ParsedResponse> round_trip_response(

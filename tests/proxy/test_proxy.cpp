@@ -24,6 +24,7 @@
 #include "http/message.hpp"
 #include "http/server.hpp"
 #include "net/sim_transport.hpp"
+#include "proxy/baseline.hpp"
 #include "proxy/hash_ring.hpp"
 #include "proxy/proxy.hpp"
 #include "services/echo.hpp"
@@ -514,6 +515,41 @@ TEST_F(ProxyTest, HealthzAndMetricsSurfaceProxyState) {
         "spi_breaker_state"}) {
     EXPECT_NE(metrics.body.find(name), std::string::npos) << name;
   }
+}
+
+// --- pack-oblivious round-robin baseline -----------------------------------
+
+TEST_F(ProxyTest, RoundRobinBaselineForwardsWholeMessagesInRotation) {
+  start_backends(2);
+  RoundRobinOptions options;
+  options.backends = member_endpoints();
+  options.backends.push_back(net::Endpoint{"nobody-home", 80});
+  RoundRobinProxy baseline(transport_, net::Endpoint{"rr-proxy", 80},
+                           std::move(options));
+  ASSERT_TRUE(baseline.start().ok());
+  core::SpiClient client(transport_, baseline.endpoint());
+
+  // Each message lands whole on the next member: every call of a pack is
+  // answered by one backend, and the rotation visits both live members.
+  std::set<std::string> answered_by;
+  for (int message = 0; message < 2; ++message) {
+    auto outcomes = client.call_packed(where_calls(4));
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const CallOutcome& outcome : outcomes) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+      EXPECT_EQ(outcome.value().as_string(),
+                outcomes.front().value().as_string());
+    }
+    answered_by.insert(outcomes.front().value().as_string());
+  }
+  EXPECT_EQ(answered_by, (std::set<std::string>{"backend-1", "backend-2"}));
+
+  // The third member is not listening: its turn is a 502 fault.
+  auto dead = client.call_packed(where_calls(2));
+  for (const CallOutcome& outcome : dead) EXPECT_FALSE(outcome.ok());
+  EXPECT_EQ(baseline.stats().requests, 3u);
+  EXPECT_EQ(baseline.stats().backend_errors, 1u);
+  baseline.stop();
 }
 
 // --- backend-kill chaos (the CI ASan leg runs ctest -R ProxyChaos) ----------
