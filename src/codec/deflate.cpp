@@ -1,862 +1,81 @@
 #include "codec/deflate.hpp"
 
+#include <zlib.h>
+
 #include <algorithm>
 #include <array>
-#include <cstdint>
-#include <queue>
-#include <vector>
-
-#ifdef SPI_HAVE_ZLIB
-#include <zlib.h>
-#endif
+#include <limits>
+#include <memory>
 
 namespace spi::codec {
 
 namespace {
 
+// Level 9: on the packed text envelopes this codec carries it matches the
+// wire size of the encoder this one replaced; level 6 is ~6% larger
+// (EXPERIMENTS.md "One deflate").
+constexpr int kLevel = 9;
+
+// zlib's MIN_LOOKAHEAD: a window of at least size + kLookahead bytes
+// reaches back over the whole input, so no match is lost to it.
+constexpr size_t kLookahead = 262;
+
+/// Smallest window in [2^9, 2^15] that holds the whole input. zlib sizes
+/// its per-stream state by windowBits and memLevel, so a 1 KB envelope
+/// does not pay for allocating and clearing 32 KB windows and hash heads.
+/// Inputs of 32 KB - 262 B and up get zlib's defaults (15, 8).
+int window_bits_for(size_t size) {
+  int bits = 9;
+  while (bits < MAX_WBITS && (size_t{1} << bits) < size + kLookahead) ++bits;
+  return bits;
+}
+
 Error corrupt(std::string detail) {
   return Error(ErrorCode::kCodecError, "deflate: " + std::move(detail));
 }
 
-// ---------------------------------------------------------------------------
-// RFC 1950 framing helpers.
-
-std::uint32_t adler32_of(std::string_view data) {
-  // Largest n such that 255*n*(n+1)/2 + (n+1)*65520 < 2^32 (zlib's NMAX).
-  constexpr size_t kNmax = 5552;
-  constexpr std::uint32_t kMod = 65521;
-  std::uint32_t a = 1, b = 0;
-  size_t i = 0;
-  while (i < data.size()) {
-    size_t chunk = std::min(kNmax, data.size() - i);
-    for (size_t j = 0; j < chunk; ++j) {
-      a += static_cast<unsigned char>(data[i + j]);
-      b += a;
-    }
-    a %= kMod;
-    b %= kMod;
-    i += chunk;
-  }
-  return (b << 16) | a;
-}
-
-// ---------------------------------------------------------------------------
-// Fallback compressor: LZ77 hash chains with lazy matching, emitted as
-// dynamic-Huffman blocks (falling back to fixed-Huffman or stored per block
-// when those are smaller).
-
-/// Accumulates DEFLATE bits LSB-first (RFC 1951 §3.1.1).
-class BitWriter {
- public:
-  explicit BitWriter(std::string& out) : out_(out) {}
-
-  /// Appends the low `count` bits of `value`.
-  void put(std::uint32_t value, int count) {
-    buffer_ |= static_cast<std::uint64_t>(value) << filled_;
-    filled_ += count;
-    while (filled_ >= 8) {
-      out_.push_back(static_cast<char>(buffer_ & 0xFF));
-      buffer_ >>= 8;
-      filled_ -= 8;
-    }
-  }
-
-  /// Huffman codes travel MSB-first inside the LSB-first bit stream, so
-  /// they are emitted bit-reversed.
-  void put_code(std::uint32_t code, int length) {
-    std::uint32_t reversed = 0;
-    for (int i = 0; i < length; ++i) {
-      reversed = (reversed << 1) | (code & 1);
-      code >>= 1;
-    }
-    put(reversed, length);
-  }
-
-  /// Pads to a byte boundary with zero bits (stored-block alignment).
-  void align_byte() {
-    if (filled_ & 7) put(0, 8 - (filled_ & 7));
-  }
-
-  void finish() {
-    if (filled_ > 0) {
-      out_.push_back(static_cast<char>(buffer_ & 0xFF));
-      buffer_ = 0;
-      filled_ = 0;
-    }
-  }
-
- private:
-  std::string& out_;
-  std::uint64_t buffer_ = 0;
-  int filled_ = 0;
-};
-
-// Length codes 257..285 (RFC 1951 §3.2.5).
-constexpr std::array<std::uint16_t, 29> kLengthBase = {
-    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
-    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
-constexpr std::array<std::uint8_t, 29> kLengthExtra = {
-    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
-    2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0};
-
-// Distance codes 0..29.
-constexpr std::array<std::uint16_t, 30> kDistBase = {
-    1,    2,    3,    4,    5,    7,     9,     13,    17,   25,
-    33,   49,   65,   97,   129,  193,   257,   385,   513,  769,
-    1025, 1537, 2049, 3073, 4097, 6145,  8193,  12289, 16385, 24577};
-constexpr std::array<std::uint8_t, 30> kDistExtra = {
-    0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4,  4,  5,  5,  6,
-    6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
-
-constexpr size_t kWindowSize = 32768;
-constexpr size_t kMaxMatch = 258;
-constexpr size_t kMinMatch = 3;
-constexpr int kMaxChain = 128;
-constexpr size_t kNiceMatch = 128;   // stop chain search at this length
-constexpr size_t kTooFar = 4096;     // 3-byte matches this far cost more
-constexpr size_t kBlockTokens = 16384;
-constexpr int kHashBits = 15;
-constexpr std::uint32_t kHashMask = (1u << kHashBits) - 1;
-
-std::uint32_t hash3(const unsigned char* p) {
-  return ((static_cast<std::uint32_t>(p[0]) << 10) ^
-          (static_cast<std::uint32_t>(p[1]) << 5) ^ p[2]) &
-         kHashMask;
-}
-
-int length_code(size_t length) {
-  int code = static_cast<int>(kLengthBase.size()) - 1;
-  while (code > 0 && kLengthBase[code] > length) --code;
-  return code;
-}
-
-int distance_code(size_t distance) {
-  int code = static_cast<int>(kDistBase.size()) - 1;
-  while (code > 0 && kDistBase[code] > distance) --code;
-  return code;
-}
-
-int fixed_litlen_bits(int symbol) {
-  return symbol < 144 ? 8 : symbol < 256 ? 9 : symbol < 280 ? 7 : 8;
-}
-
-// Code-length alphabet transmission order (RFC 1951 §3.2.7).
-constexpr std::array<std::uint8_t, 19> kClOrder = {
-    16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
-
-/// One LZ77 decision: dist == 0 is a literal (value = the byte), otherwise
-/// a back-reference (value = length, dist = distance).
-struct Token {
-  std::uint32_t value;
-  std::uint32_t dist;
-};
-
-/// Canonical length-limited Huffman code lengths from symbol frequencies.
-/// Builds the optimal tree, then applies zlib's bit-length adjustment so no
-/// code exceeds `limit` while the Kraft sum stays exact.
-void huffman_lengths(const std::uint32_t* freq, size_t count, int limit,
-                     std::uint8_t* lens) {
-  std::fill(lens, lens + count, 0);
-  std::vector<int> used;
-  for (size_t s = 0; s < count; ++s) {
-    if (freq[s] > 0) used.push_back(static_cast<int>(s));
-  }
-  if (used.empty()) return;
-  if (used.size() == 1) {
-    lens[used[0]] = 1;
-    return;
-  }
-  const size_t leaves = used.size();
-  std::vector<std::int32_t> parent(leaves * 2 - 1, -1);
-  using Entry = std::pair<std::uint64_t, std::int32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (size_t k = 0; k < leaves; ++k) {
-    heap.push({freq[used[k]], static_cast<std::int32_t>(k)});
-  }
-  std::int32_t next = static_cast<std::int32_t>(leaves);
-  while (heap.size() > 1) {
-    Entry a = heap.top();
-    heap.pop();
-    Entry b = heap.top();
-    heap.pop();
-    parent[a.second] = next;
-    parent[b.second] = next;
-    heap.push({a.first + b.first, next});
-    ++next;
-  }
-  int max_depth = 0;
-  std::vector<int> depth(leaves);
-  for (size_t k = 0; k < leaves; ++k) {
-    int d = 0;
-    for (std::int32_t node = static_cast<std::int32_t>(k); parent[node] >= 0;
-         node = parent[node]) {
-      ++d;
-    }
-    depth[k] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<int> bl_count(std::max(max_depth, limit) + 2, 0);
-  for (int d : depth) ++bl_count[d];
-  int overflow = 0;
-  for (int bits = limit + 1; bits <= max_depth; ++bits) {
-    overflow += bl_count[bits];
-    bl_count[limit] += bl_count[bits];
-    bl_count[bits] = 0;
-  }
-  while (overflow > 0) {
-    int bits = limit - 1;
-    while (bl_count[bits] == 0) --bits;
-    --bl_count[bits];        // move one leaf one level down…
-    bl_count[bits + 1] += 2; // …making room for an overflowed brother
-    --bl_count[limit];
-    overflow -= 2;
-  }
-  // Canonical reassignment: most frequent symbols take the shortest codes.
-  std::sort(used.begin(), used.end(), [&](int a, int b) {
-    return freq[a] != freq[b] ? freq[a] > freq[b] : a < b;
-  });
-  size_t k = 0;
-  for (int bits = 1; bits <= limit; ++bits) {
-    for (int c = 0; c < bl_count[bits]; ++c) {
-      lens[used[k++]] = static_cast<std::uint8_t>(bits);
-    }
-  }
-}
-
-/// RFC 1951 §3.2.2 canonical codes from code lengths.
-void canonical_codes(const std::uint8_t* lens, size_t count, int limit,
-                     std::uint16_t* codes) {
-  std::vector<int> bl_count(limit + 1, 0);
-  for (size_t s = 0; s < count; ++s) {
-    if (lens[s]) ++bl_count[lens[s]];
-  }
-  std::vector<std::uint32_t> next(limit + 1, 0);
-  std::uint32_t code = 0;
-  for (int bits = 1; bits <= limit; ++bits) {
-    code = (code + bl_count[bits - 1]) << 1;
-    next[bits] = code;
-  }
-  for (size_t s = 0; s < count; ++s) {
-    if (lens[s]) codes[s] = static_cast<std::uint16_t>(next[lens[s]]++);
-  }
-}
-
-/// One symbol of the RLE'd code-length sequence (16/17/18 carry repeats).
-struct ClOp {
-  std::uint8_t symbol;
-  std::uint8_t extra_bits;
-  std::uint8_t extra;
-};
-
-std::vector<ClOp> rle_code_lengths(const std::uint8_t* lens, size_t count) {
-  std::vector<ClOp> ops;
-  size_t i = 0;
-  while (i < count) {
-    const std::uint8_t v = lens[i];
-    size_t run = 1;
-    while (i + run < count && lens[i + run] == v) ++run;
-    i += run;
-    if (v == 0) {
-      while (run >= 11) {
-        size_t r = std::min<size_t>(run, 138);
-        ops.push_back({18, 7, static_cast<std::uint8_t>(r - 11)});
-        run -= r;
-      }
-      if (run >= 3) {
-        ops.push_back({17, 3, static_cast<std::uint8_t>(run - 3)});
-        run = 0;
-      }
-      while (run-- > 0) ops.push_back({0, 0, 0});
-    } else {
-      ops.push_back({v, 0, 0});
-      --run;
-      while (run >= 3) {
-        size_t r = std::min<size_t>(run, 6);
-        ops.push_back({16, 2, static_cast<std::uint8_t>(r - 3)});
-        run -= r;
-      }
-      while (run-- > 0) ops.push_back({v, 0, 0});
-    }
-  }
-  return ops;
-}
-
-/// The fixed-Huffman tables of §3.2.6 are exactly the canonical codes of
-/// their fixed lengths, so they come from the same constructor.
-struct FixedTables {
-  std::uint8_t llens[288];
-  std::uint16_t lcodes[288];
-  std::uint8_t dlens[30];
-  std::uint16_t dcodes[30];
-  FixedTables() {
-    for (int s = 0; s < 288; ++s) {
-      llens[s] = static_cast<std::uint8_t>(fixed_litlen_bits(s));
-    }
-    std::fill(dlens, dlens + 30, 5);
-    canonical_codes(llens, 288, 9, lcodes);
-    canonical_codes(dlens, 30, 5, dcodes);
-  }
-};
-
-const FixedTables& fixed_tables() {
-  static const FixedTables tables;
-  return tables;
-}
-
-void put_tokens(BitWriter& bits, const std::vector<Token>& tokens,
-                const std::uint16_t* lcodes, const std::uint8_t* llens,
-                const std::uint16_t* dcodes, const std::uint8_t* dlens) {
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      bits.put_code(lcodes[t.value], llens[t.value]);
-      continue;
-    }
-    const int lc = length_code(t.value);
-    bits.put_code(lcodes[257 + lc], llens[257 + lc]);
-    bits.put(static_cast<std::uint32_t>(t.value - kLengthBase[lc]),
-             kLengthExtra[lc]);
-    const int dc = distance_code(t.dist);
-    bits.put_code(dcodes[dc], dlens[dc]);
-    bits.put(static_cast<std::uint32_t>(t.dist - kDistBase[dc]),
-             kDistExtra[dc]);
-  }
-  bits.put_code(lcodes[256], llens[256]);  // end of block
-}
-
-/// Emits `tokens` (covering input bytes [begin, end)) as whichever block
-/// type is smallest: dynamic Huffman, fixed Huffman, or stored.
-void emit_block(BitWriter& bits, const unsigned char* data, size_t begin,
-                size_t end, const std::vector<Token>& tokens, bool final) {
-  std::uint32_t lfreq[286] = {};
-  std::uint32_t dfreq[30] = {};
-  bool any_match = false;
-  std::uint64_t extra_bits_cost = 0;
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      ++lfreq[t.value];
-      continue;
-    }
-    any_match = true;
-    const int lc = length_code(t.value);
-    ++lfreq[257 + lc];
-    extra_bits_cost += kLengthExtra[lc];
-    const int dc = distance_code(t.dist);
-    ++dfreq[dc];
-    extra_bits_cost += kDistExtra[dc];
-  }
-  ++lfreq[256];
-
-  std::uint64_t fixed_cost = 3 + extra_bits_cost;
-  for (int s = 0; s < 286; ++s) {
-    if (lfreq[s]) fixed_cost += std::uint64_t{lfreq[s]} * fixed_litlen_bits(s);
-  }
-  for (int c = 0; c < 30; ++c) {
-    if (dfreq[c]) fixed_cost += std::uint64_t{dfreq[c]} * 5;
-  }
-
-  // Dynamic tables pay a header; skip them for matchless blocks (an
-  // all-zero distance table buys nothing over the fixed code).
-  std::uint8_t llens[286] = {};
-  std::uint8_t dlens[30] = {};
-  std::uint16_t lcodes[286] = {};
-  std::uint16_t dcodes[30] = {};
-  std::uint8_t cl_lens[19] = {};
-  std::uint16_t cl_codes[19] = {};
-  std::vector<ClOp> cl_ops;
-  size_t hlit = 257, hdist = 1, hclen = 4;
-  std::uint64_t dynamic_cost = UINT64_MAX;
-  if (any_match) {
-    huffman_lengths(lfreq, 286, 15, llens);
-    huffman_lengths(dfreq, 30, 15, dlens);
-    canonical_codes(llens, 286, 15, lcodes);
-    canonical_codes(dlens, 30, 15, dcodes);
-    hlit = 286;
-    while (hlit > 257 && llens[hlit - 1] == 0) --hlit;
-    hdist = 30;
-    while (hdist > 1 && dlens[hdist - 1] == 0) --hdist;
-    std::vector<std::uint8_t> all(llens, llens + hlit);
-    all.insert(all.end(), dlens, dlens + hdist);
-    cl_ops = rle_code_lengths(all.data(), all.size());
-    std::uint32_t cl_freq[19] = {};
-    for (const ClOp& op : cl_ops) ++cl_freq[op.symbol];
-    huffman_lengths(cl_freq, 19, 7, cl_lens);
-    canonical_codes(cl_lens, 19, 7, cl_codes);
-    hclen = 19;
-    while (hclen > 4 && cl_lens[kClOrder[hclen - 1]] == 0) --hclen;
-    dynamic_cost = 3 + 14 + 3 * hclen + extra_bits_cost;
-    for (const ClOp& op : cl_ops) {
-      dynamic_cost += cl_lens[op.symbol] + op.extra_bits;
-    }
-    for (int s = 0; s < 286; ++s) {
-      dynamic_cost += std::uint64_t{lfreq[s]} * llens[s];
-    }
-    for (int c = 0; c < 30; ++c) {
-      dynamic_cost += std::uint64_t{dfreq[c]} * dlens[c];
-    }
-  }
-
-  const size_t bytes = end - begin;
-  std::uint64_t stored_cost = UINT64_MAX;
-  if (bytes > 0) {
-    const std::uint64_t chunks = (bytes + 65534) / 65535;
-    stored_cost = chunks * (3 + 7 + 32) + 8ull * bytes;
-  }
-
-  if (stored_cost < fixed_cost && stored_cost < dynamic_cost) {
-    size_t pos = begin;
-    while (true) {
-      const size_t chunk = std::min<size_t>(65535, end - pos);
-      bits.put(final && pos + chunk == end ? 1 : 0, 1);
-      bits.put(0, 2);  // BTYPE=00: stored
-      bits.align_byte();
-      bits.put(static_cast<std::uint32_t>(chunk), 16);
-      bits.put(static_cast<std::uint32_t>(chunk ^ 0xFFFF), 16);
-      for (size_t k = 0; k < chunk; ++k) bits.put(data[pos + k], 8);
-      pos += chunk;
-      if (pos == end) return;
-    }
-  }
-
-  bits.put(final ? 1 : 0, 1);
-  if (dynamic_cost < fixed_cost) {
-    bits.put(2, 2);  // BTYPE=10: dynamic Huffman
-    bits.put(static_cast<std::uint32_t>(hlit - 257), 5);
-    bits.put(static_cast<std::uint32_t>(hdist - 1), 5);
-    bits.put(static_cast<std::uint32_t>(hclen - 4), 4);
-    for (size_t k = 0; k < hclen; ++k) bits.put(cl_lens[kClOrder[k]], 3);
-    for (const ClOp& op : cl_ops) {
-      bits.put_code(cl_codes[op.symbol], cl_lens[op.symbol]);
-      if (op.extra_bits) bits.put(op.extra, op.extra_bits);
-    }
-    put_tokens(bits, tokens, lcodes, llens, dcodes, dlens);
-  } else {
-    bits.put(1, 2);  // BTYPE=01: fixed Huffman
-    const FixedTables& fixed = fixed_tables();
-    put_tokens(bits, tokens, fixed.lcodes, fixed.llens, fixed.dcodes,
-               fixed.dlens);
-  }
-}
+/// Runs deflateEnd / inflateEnd on every exit, exceptions included.
+using StreamEnd = std::unique_ptr<z_stream, int (*)(z_streamp)>;
 
 }  // namespace
 
-Result<std::string> fallback_deflate(std::string_view plain) {
-  const auto* data = reinterpret_cast<const unsigned char*>(plain.data());
-  const size_t n = plain.size();
-
-  std::string out;
-  out.reserve(n / 3 + 64);
-  // CMF/FLG: CM=8 (deflate), CINFO=7 (32K window); FCHECK makes the pair a
-  // multiple of 31 (0x789C, zlib's default-level signature).
-  out.push_back('\x78');
-  out.push_back('\x9C');
-
-  BitWriter bits(out);
-  std::vector<std::int32_t> head(1u << kHashBits, -1);
-  std::vector<std::int32_t> prev(n, -1);
-  auto insert = [&](size_t pos) {
-    if (pos + kMinMatch > n) return;
-    std::uint32_t h = hash3(data + pos);
-    prev[pos] = head[h];
-    head[h] = static_cast<std::int32_t>(pos);
-  };
-  auto longest_match = [&](size_t pos, size_t* out_dist) -> size_t {
-    size_t best_len = 0;
-    size_t best_dist = 0;
-    if (pos + kMinMatch <= n) {
-      std::int32_t cand = head[hash3(data + pos)];
-      int chain = kMaxChain;
-      const size_t max_len = std::min(kMaxMatch, n - pos);
-      while (cand >= 0 && chain-- > 0) {
-        const size_t dist = pos - static_cast<size_t>(cand);
-        if (dist > kWindowSize) break;  // chains are position-ordered
-        size_t len = 0;
-        const unsigned char* a = data + cand;
-        const unsigned char* b = data + pos;
-        while (len < max_len && a[len] == b[len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = dist;
-          if (len >= max_len || len >= kNiceMatch) break;
-        }
-        cand = prev[cand];
-      }
-    }
-    if (best_len == kMinMatch && best_dist > kTooFar) best_len = 0;
-    *out_dist = best_dist;
-    return best_len;
-  };
-
-  std::vector<Token> tokens;
-  tokens.reserve(kBlockTokens + 1);
-  size_t block_start = 0;
-  auto flush = [&](size_t boundary, bool final) {
-    emit_block(bits, data, block_start, boundary, tokens, final);
-    tokens.clear();
-    block_start = boundary;
-  };
-
-  // Lazy evaluation (zlib's deflate_slow): defer the match found at i-1 by
-  // one byte; if i matches longer, i-1 goes out as a literal instead.
-  size_t i = 0;
-  size_t prev_len = 0;
-  size_t prev_dist = 0;
-  bool pending = false;  // position i-1 not yet emitted
-  while (i < n) {
-    size_t cur_dist = 0;
-    const size_t cur_len = longest_match(i, &cur_dist);
-    if (pending && prev_len >= kMinMatch && prev_len >= cur_len) {
-      tokens.push_back({static_cast<std::uint32_t>(prev_len),
-                        static_cast<std::uint32_t>(prev_dist)});
-      const size_t match_end = i - 1 + prev_len;
-      for (size_t k = i; k < match_end; ++k) insert(k);
-      i = match_end;
-      pending = false;
-      prev_len = 0;
-      if (tokens.size() >= kBlockTokens) flush(i, false);
-    } else {
-      if (pending) {
-        tokens.push_back({data[i - 1], 0});
-        if (tokens.size() >= kBlockTokens) flush(i, false);
-      }
-      prev_len = cur_len;
-      prev_dist = cur_dist;
-      pending = true;
-      insert(i);
-      ++i;
-    }
+Result<std::string> DeflateCodec::encode(std::string_view plain) const {
+  // zlib counts input in uInt; a larger body would be silently cut short.
+  if (plain.size() > std::numeric_limits<uInt>::max()) {
+    return Error(ErrorCode::kCapacityExceeded,
+                 "deflate: input exceeds zlib's 4 GiB stream limit");
   }
-  if (pending) tokens.push_back({data[n - 1], 0});
-  flush(n, true);
-  bits.finish();
-
-  const std::uint32_t adler = adler32_of(plain);
-  out.push_back(static_cast<char>((adler >> 24) & 0xFF));
-  out.push_back(static_cast<char>((adler >> 16) & 0xFF));
-  out.push_back(static_cast<char>((adler >> 8) & 0xFF));
-  out.push_back(static_cast<char>(adler & 0xFF));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Fallback inflater: full RFC 1951 (stored, fixed, dynamic blocks) with the
-// output budget enforced as bytes materialize.
-
-namespace {
-
-class BitReader {
- public:
-  BitReader(const unsigned char* data, size_t size)
-      : data_(data), size_(size) {}
-
-  /// Returns `count` bits LSB-first, or -1 past end of input.
-  std::int64_t take(int count) {
-    while (filled_ < count) {
-      if (pos_ >= size_) return -1;
-      buffer_ |= static_cast<std::uint64_t>(data_[pos_++]) << filled_;
-      filled_ += 8;
-    }
-    std::int64_t value =
-        static_cast<std::int64_t>(buffer_ & ((1u << count) - 1));
-    buffer_ >>= count;
-    filled_ -= count;
-    return value;
-  }
-
-  /// Discards partial-byte bits (stored-block alignment).
-  void align() {
-    buffer_ >>= (filled_ & 7);
-    filled_ -= filled_ & 7;
-  }
-
-  /// Reads a whole aligned byte (stored-block payload / trailer).
-  std::int64_t take_byte() {
-    if (filled_ > 0) return take(8);
-    if (pos_ >= size_) return -1;
-    return data_[pos_++];
-  }
-
- private:
-  const unsigned char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  std::uint64_t buffer_ = 0;
-  int filled_ = 0;
-};
-
-constexpr int kMaxBits = 15;
-constexpr int kMaxLitlenSymbols = 288;
-constexpr int kMaxDistSymbols = 30;
-
-/// Canonical Huffman decoding table: symbol counts per code length plus
-/// symbols sorted by (length, symbol) — the classic puff layout.
-struct Huffman {
-  std::array<std::int16_t, kMaxBits + 1> count{};
-  std::array<std::int16_t, kMaxLitlenSymbols> symbol{};
-};
-
-/// Builds the table from per-symbol code lengths. Returns negative when
-/// the lengths over-subscribe the code space (corrupt); a positive return
-/// (incomplete code) is tolerated like zlib/puff tolerate it — decoding
-/// fails only if the stream actually uses a missing code.
-int build_huffman(Huffman& h, const std::int16_t* lengths, int n) {
-  h.count.fill(0);
-  for (int i = 0; i < n; ++i) h.count[lengths[i]]++;
-  if (h.count[0] == n) return 0;  // no codes at all
-  int left = 1;
-  for (int len = 1; len <= kMaxBits; ++len) {
-    left <<= 1;
-    left -= h.count[len];
-    if (left < 0) return left;
-  }
-  std::array<std::int16_t, kMaxBits + 1> offsets{};
-  for (int len = 1; len < kMaxBits; ++len) {
-    offsets[len + 1] = static_cast<std::int16_t>(offsets[len] + h.count[len]);
-  }
-  for (int i = 0; i < n; ++i) {
-    if (lengths[i] != 0) {
-      h.symbol[offsets[lengths[i]]++] = static_cast<std::int16_t>(i);
-    }
-  }
-  return left;
-}
-
-/// Decodes one symbol; -1 on truncated input, -2 on an invalid code.
-int decode_symbol(BitReader& bits, const Huffman& h) {
-  int code = 0, first = 0, index = 0;
-  for (int len = 1; len <= kMaxBits; ++len) {
-    std::int64_t bit = bits.take(1);
-    if (bit < 0) return -1;
-    code |= static_cast<int>(bit);
-    int count = h.count[len];
-    if (code - first < count) return h.symbol[index + (code - first)];
-    index += count;
-    first = (first + count) << 1;
-    code <<= 1;
-  }
-  return -2;
-}
-
-struct Inflater {
-  BitReader bits;
-  std::string out;
-  size_t budget;
-
-  Inflater(const unsigned char* data, size_t size, size_t max_out)
-      : bits(data, size), budget(max_out) {}
-
-  Status push(char byte) {
-    if (out.size() >= budget) return decoded_limit_error("deflate", budget);
-    out.push_back(byte);
-    return Status::ok_status();
-  }
-
-  Status stored_block() {
-    bits.align();
-    std::int64_t b0 = bits.take_byte(), b1 = bits.take_byte();
-    std::int64_t b2 = bits.take_byte(), b3 = bits.take_byte();
-    if (b3 < 0) return corrupt("truncated stored-block header");
-    unsigned len = static_cast<unsigned>(b0) | (static_cast<unsigned>(b1) << 8);
-    unsigned nlen =
-        static_cast<unsigned>(b2) | (static_cast<unsigned>(b3) << 8);
-    if ((len ^ 0xFFFF) != nlen) return corrupt("stored-block LEN/NLEN mismatch");
-    for (unsigned i = 0; i < len; ++i) {
-      std::int64_t byte = bits.take_byte();
-      if (byte < 0) return corrupt("truncated stored block");
-      if (Status s = push(static_cast<char>(byte)); !s.ok()) return s;
-    }
-    return Status::ok_status();
-  }
-
-  Status codes(const Huffman& litlen, const Huffman& dist) {
-    for (;;) {
-      int symbol = decode_symbol(bits, litlen);
-      if (symbol < 0) return corrupt("invalid literal/length code");
-      if (symbol < 256) {
-        if (Status s = push(static_cast<char>(symbol)); !s.ok()) return s;
-        continue;
-      }
-      if (symbol == 256) return Status::ok_status();  // end of block
-      symbol -= 257;
-      if (symbol >= static_cast<int>(kLengthBase.size())) {
-        return corrupt("reserved length code");
-      }
-      std::int64_t extra = bits.take(kLengthExtra[symbol]);
-      if (extra < 0) return corrupt("truncated length extra bits");
-      size_t length = kLengthBase[symbol] + static_cast<size_t>(extra);
-
-      int dsym = decode_symbol(bits, dist);
-      if (dsym < 0 || dsym >= static_cast<int>(kDistBase.size())) {
-        return corrupt("invalid distance code");
-      }
-      extra = bits.take(kDistExtra[dsym]);
-      if (extra < 0) return corrupt("truncated distance extra bits");
-      size_t distance = kDistBase[dsym] + static_cast<size_t>(extra);
-      if (distance > out.size()) return corrupt("distance beyond output");
-      for (size_t i = 0; i < length; ++i) {
-        if (Status s = push(out[out.size() - distance]); !s.ok()) return s;
-      }
-    }
-  }
-
-  Status fixed_block() {
-    static const auto tables = [] {
-      std::pair<Huffman, Huffman> t;
-      std::array<std::int16_t, kMaxLitlenSymbols> lengths{};
-      int i = 0;
-      for (; i < 144; ++i) lengths[i] = 8;
-      for (; i < 256; ++i) lengths[i] = 9;
-      for (; i < 280; ++i) lengths[i] = 7;
-      for (; i < kMaxLitlenSymbols; ++i) lengths[i] = 8;
-      build_huffman(t.first, lengths.data(), kMaxLitlenSymbols);
-      std::array<std::int16_t, kMaxDistSymbols> dist_lengths{};
-      dist_lengths.fill(5);
-      build_huffman(t.second, dist_lengths.data(), kMaxDistSymbols);
-      return t;
-    }();
-    return codes(tables.first, tables.second);
-  }
-
-  Status dynamic_block() {
-    std::int64_t hlit = bits.take(5), hdist = bits.take(5), hclen = bits.take(4);
-    if (hclen < 0) return corrupt("truncated dynamic-block header");
-    int nlen = static_cast<int>(hlit) + 257;
-    int ndist = static_cast<int>(hdist) + 1;
-    int ncode = static_cast<int>(hclen) + 4;
-    if (nlen > 286 || ndist > kMaxDistSymbols) {
-      return corrupt("dynamic-block symbol counts out of range");
-    }
-    static constexpr std::array<std::uint8_t, 19> kOrder = {
-        16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
-    std::array<std::int16_t, kMaxLitlenSymbols + kMaxDistSymbols> lengths{};
-    std::array<std::int16_t, 19> clen_lengths{};
-    for (int i = 0; i < ncode; ++i) {
-      std::int64_t bits3 = bits.take(3);
-      if (bits3 < 0) return corrupt("truncated code-length lengths");
-      clen_lengths[kOrder[i]] = static_cast<std::int16_t>(bits3);
-    }
-    Huffman clen;
-    if (build_huffman(clen, clen_lengths.data(), 19) < 0) {
-      return corrupt("over-subscribed code-length code");
-    }
-    int index = 0;
-    while (index < nlen + ndist) {
-      int symbol = decode_symbol(bits, clen);
-      if (symbol < 0) return corrupt("invalid code-length symbol");
-      if (symbol < 16) {
-        lengths[index++] = static_cast<std::int16_t>(symbol);
-        continue;
-      }
-      std::int16_t repeat_value = 0;
-      int repeat;
-      if (symbol == 16) {
-        if (index == 0) return corrupt("repeat with no previous length");
-        repeat_value = lengths[index - 1];
-        std::int64_t extra = bits.take(2);
-        if (extra < 0) return corrupt("truncated repeat count");
-        repeat = 3 + static_cast<int>(extra);
-      } else if (symbol == 17) {
-        std::int64_t extra = bits.take(3);
-        if (extra < 0) return corrupt("truncated repeat count");
-        repeat = 3 + static_cast<int>(extra);
-      } else {
-        std::int64_t extra = bits.take(7);
-        if (extra < 0) return corrupt("truncated repeat count");
-        repeat = 11 + static_cast<int>(extra);
-      }
-      if (index + repeat > nlen + ndist) return corrupt("repeat overflows lengths");
-      while (repeat-- > 0) lengths[index++] = repeat_value;
-    }
-    if (lengths[256] == 0) return corrupt("dynamic code missing end-of-block");
-    Huffman litlen, dist;
-    if (build_huffman(litlen, lengths.data(), nlen) < 0) {
-      return corrupt("over-subscribed literal/length code");
-    }
-    if (build_huffman(dist, lengths.data() + nlen, ndist) < 0) {
-      return corrupt("over-subscribed distance code");
-    }
-    return codes(litlen, dist);
-  }
-
-  Status run() {
-    for (;;) {
-      std::int64_t final_bit = bits.take(1);
-      std::int64_t type = bits.take(2);
-      if (type < 0) return corrupt("truncated block header");
-      Status status = Status::ok_status();
-      switch (type) {
-        case 0: status = stored_block(); break;
-        case 1: status = fixed_block(); break;
-        case 2: status = dynamic_block(); break;
-        default: return corrupt("reserved block type");
-      }
-      if (!status.ok()) return status;
-      if (final_bit == 1) return Status::ok_status();
-    }
-  }
-};
-
-}  // namespace
-
-Result<std::string> fallback_inflate(std::string_view wire,
-                                     size_t max_decoded_bytes) {
-  if (wire.size() < 6) return corrupt("stream shorter than zlib framing");
-  const auto* data = reinterpret_cast<const unsigned char*>(wire.data());
-  const unsigned cmf = data[0], flg = data[1];
-  if ((cmf & 0x0F) != 8) return corrupt("compression method is not deflate");
-  if ((cmf >> 4) > 7) return corrupt("window size exceeds 32K");
-  if ((cmf * 256 + flg) % 31 != 0) return corrupt("zlib header check failed");
-  if (flg & 0x20) return corrupt("preset dictionaries are not supported");
-
-  Inflater inflater(data + 2, wire.size() - 6, max_decoded_bytes);
-  if (Status status = inflater.run(); !status.ok()) return status.error();
-
-  const unsigned char* trailer = data + wire.size() - 4;
-  std::uint32_t expected = (static_cast<std::uint32_t>(trailer[0]) << 24) |
-                           (static_cast<std::uint32_t>(trailer[1]) << 16) |
-                           (static_cast<std::uint32_t>(trailer[2]) << 8) |
-                           static_cast<std::uint32_t>(trailer[3]);
-  if (adler32_of(inflater.out) != expected) {
-    return corrupt("adler32 checksum mismatch");
-  }
-  return std::move(inflater.out);
-}
-
-// ---------------------------------------------------------------------------
-// Codec front end: zlib when built in, fallback otherwise.
-
-bool built_with_zlib() {
-#ifdef SPI_HAVE_ZLIB
-  return true;
-#else
-  return false;
-#endif
-}
-
-#ifdef SPI_HAVE_ZLIB
-
-namespace {
-
-Result<std::string> zlib_deflate(std::string_view plain) {
-  uLong bound = compressBound(static_cast<uLong>(plain.size()));
-  std::string out(bound, '\0');
-  uLongf out_size = bound;
-  int rc = compress2(reinterpret_cast<Bytef*>(out.data()), &out_size,
-                     reinterpret_cast<const Bytef*>(plain.data()),
-                     static_cast<uLong>(plain.size()), Z_DEFAULT_COMPRESSION);
+  const int window_bits = window_bits_for(plain.size());
+  z_stream stream{};
+  int rc = deflateInit2(&stream, kLevel, Z_DEFLATED, window_bits,
+                        std::min(8, window_bits - 7), Z_DEFAULT_STRATEGY);
   if (rc != Z_OK) {
     return Error(ErrorCode::kInternal,
-                 "deflate: zlib compress2 failed rc=" + std::to_string(rc));
+                 "deflate: zlib deflateInit2 rc=" + std::to_string(rc));
   }
-  out.resize(out_size);
+  StreamEnd end(&stream, deflateEnd);
+  std::string out(deflateBound(&stream, static_cast<uLong>(plain.size())),
+                  '\0');
+  stream.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(plain.data()));
+  stream.avail_in = static_cast<uInt>(plain.size());
+  stream.next_out = reinterpret_cast<Bytef*>(out.data());
+  stream.avail_out = static_cast<uInt>(out.size());
+  rc = deflate(&stream, Z_FINISH);
+  if (rc != Z_STREAM_END) {
+    return Error(ErrorCode::kInternal,
+                 "deflate: zlib deflate rc=" + std::to_string(rc));
+  }
+  out.resize(stream.total_out);
   return out;
 }
 
-Result<std::string> zlib_inflate(std::string_view wire,
-                                 size_t max_decoded_bytes) {
+Result<std::string> DeflateCodec::decode(std::string_view wire,
+                                         size_t max_decoded_bytes) const {
   z_stream stream{};
   if (inflateInit(&stream) != Z_OK) {
     return Error(ErrorCode::kInternal, "deflate: zlib inflateInit failed");
   }
+  StreamEnd end(&stream, inflateEnd);
   stream.next_in =
       reinterpret_cast<Bytef*>(const_cast<char*>(wire.data()));
   stream.avail_in = static_cast<uInt>(wire.size());
@@ -869,41 +88,16 @@ Result<std::string> zlib_inflate(std::string_view wire,
     stream.avail_out = static_cast<uInt>(chunk.size());
     rc = inflate(&stream, Z_NO_FLUSH);
     if (rc != Z_OK && rc != Z_STREAM_END) {
-      inflateEnd(&stream);
       return corrupt("zlib inflate rc=" + std::to_string(rc));
     }
     size_t produced = chunk.size() - stream.avail_out;
     if (out.size() + produced > max_decoded_bytes) {
-      inflateEnd(&stream);
       return decoded_limit_error("deflate", max_decoded_bytes);
     }
     out.append(chunk.data(), produced);
   } while (rc != Z_STREAM_END);
-  bool trailing = stream.avail_in != 0;
-  inflateEnd(&stream);
-  if (trailing) return corrupt("trailing bytes after zlib stream");
+  if (stream.avail_in != 0) return corrupt("trailing bytes after zlib stream");
   return out;
-}
-
-}  // namespace
-
-#endif  // SPI_HAVE_ZLIB
-
-Result<std::string> DeflateCodec::encode(std::string_view plain) const {
-#ifdef SPI_HAVE_ZLIB
-  return zlib_deflate(plain);
-#else
-  return fallback_deflate(plain);
-#endif
-}
-
-Result<std::string> DeflateCodec::decode(std::string_view wire,
-                                         size_t max_decoded_bytes) const {
-#ifdef SPI_HAVE_ZLIB
-  return zlib_inflate(wire, max_decoded_bytes);
-#else
-  return fallback_inflate(wire, max_decoded_bytes);
-#endif
 }
 
 }  // namespace spi::codec

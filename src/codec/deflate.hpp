@@ -1,15 +1,9 @@
 // "deflate" content coding (RFC 2616 §3.5 = RFC 1950 zlib wrapper around
-// RFC 1951 DEFLATE data).
+// RFC 1951 DEFLATE data), backed by system zlib.
 //
-// Two interchangeable engines sit behind one codec:
-//   * zlib, when the build found it (-DSPI_WITH_ZLIB=ON) — fastest and the
-//     interop reference.
-//   * a self-contained fallback, always compiled, so the default build
-//     stays dependency-free: an LZ77 hash-chain matcher emitting one
-//     fixed-Huffman block on encode, and a full inflater (stored, fixed,
-//     and dynamic-Huffman blocks) on decode. Both directions speak
-//     wire-compatible RFC 1950, so a fallback client talks to a zlib
-//     server and vice versa.
+// Encode runs zlib at level 9 with the window sized to the input (the
+// smallest 2^9..2^15 window that holds it), so small envelopes do not pay
+// for zlib's full 32 KB state. Any RFC 1950 decoder reads the output.
 //
 // Decode enforces the caller's output budget *while inflating*: a
 // decompression bomb stops at max_decoded_bytes, not at whatever it
@@ -19,15 +13,6 @@
 #include "codec/wire_codec.hpp"
 
 namespace spi::codec {
-
-/// True when this binary was compiled against zlib (SPI_WITH_ZLIB).
-bool built_with_zlib();
-
-/// The always-available reference engine (unit-tested directly; also the
-/// production path when zlib is absent).
-Result<std::string> fallback_deflate(std::string_view plain);
-Result<std::string> fallback_inflate(std::string_view wire,
-                                     size_t max_decoded_bytes);
 
 class DeflateCodec final : public WireCodec {
  public:
